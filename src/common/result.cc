@@ -12,6 +12,7 @@ errorCodeName(ErrorCode code)
       case ErrorCode::kNotFound: return "not_found";
       case ErrorCode::kTimeout: return "timeout";
       case ErrorCode::kRejected: return "rejected";
+      case ErrorCode::kInvalidArgument: return "invalid_argument";
     }
     LOTUS_PANIC("bad error code %d", static_cast<int>(code));
 }

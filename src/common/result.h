@@ -42,6 +42,9 @@ enum class ErrorCode : std::uint8_t
      *  Not transient from the service's point of view: the caller
      *  decides whether to back off and reconnect. */
     kRejected,
+    /** A caller-supplied configuration is invalid (e.g. a tenant's
+     *  ClientConfig); refused without side effects, never retried. */
+    kInvalidArgument,
 };
 
 /** Stable lower-case name, e.g. "corrupt_data". */

@@ -8,16 +8,13 @@
 #include "dataflow/sampler.h"
 #include "dataflow/task_runner.h"
 #include "hwcount/thread_counters.h"
+#include "service/preproc_server.h"
 
 namespace lotus::dataflow {
 
 using pipeline::Batch;
 
 namespace {
-
-/** Idle-worker wake backstop under work-stealing; wake events from
- *  StealGroup::notifyWork make the common case prompt. */
-constexpr TimeNs kStealIdleWait = 200 * kMicrosecond;
 
 /**
  * Option validation is a user-facing contract (fatal, not panic):
@@ -85,47 +82,6 @@ validateOptions(const DataLoaderOptions &options)
                     "must be enabled together (got %d and %d)",
                     options.read_ahead_depth, options.io_threads);
 }
-
-/**
- * RAII publication of one fetch span's measured PMU delta into the
- * lotus_pmu_* counters. Costs one branch on threads without a live
- * counter group (the common case: registry disabled or sim backend),
- * so it can wrap every fetch unconditionally.
- */
-class PmuSpanGuard
-{
-  public:
-    PmuSpanGuard(metrics::Counter *cycles, metrics::Counter *instructions,
-                 metrics::Counter *llc_misses)
-        : cycles_(cycles), instructions_(instructions),
-          llc_misses_(llc_misses),
-          active_(hwcount::ThreadCounterRegistry::threadHasPmu())
-    {
-        if (active_)
-            start_ = hwcount::ThreadCounterRegistry::readCurrent();
-    }
-
-    ~PmuSpanGuard()
-    {
-        if (!active_)
-            return;
-        const hwcount::CounterSet delta = hwcount::counterDelta(
-            hwcount::ThreadCounterRegistry::readCurrent(), start_);
-        cycles_->add(delta.cycles);
-        instructions_->add(delta.instructions);
-        llc_misses_->add(delta.llc_misses);
-    }
-
-    PmuSpanGuard(const PmuSpanGuard &) = delete;
-    PmuSpanGuard &operator=(const PmuSpanGuard &) = delete;
-
-  private:
-    metrics::Counter *cycles_;
-    metrics::Counter *instructions_;
-    metrics::Counter *llc_misses_;
-    bool active_;
-    hwcount::CounterSet start_;
-};
 
 } // namespace
 
@@ -270,9 +226,9 @@ DataLoader::registerMetrics()
         registry.histogram("lotus_loader_batch_span_ns");
     // Measured PMU totals. Registered unconditionally; they only move
     // when the ThreadCounterRegistry resolved to the perf backend.
-    metrics_.pmu_cycles = registry.counter(kPmuCyclesMetric);
-    metrics_.pmu_instructions = registry.counter(kPmuInstructionsMetric);
-    metrics_.pmu_llc_misses = registry.counter(kPmuLlcMissesMetric);
+    metrics_.pmu = {registry.counter(kPmuCyclesMetric),
+                    registry.counter(kPmuInstructionsMetric),
+                    registry.counter(kPmuLlcMissesMetric)};
     if (options_.num_workers == 0) {
         metrics_.fetch_ns.push_back(registry.histogram(
             metrics::labeled("lotus_loader_fetch_ns", "worker", "main")));
@@ -367,36 +323,24 @@ DataLoader::startEpoch()
         return;
     }
 
-    // Work-stealing collapses the per-worker index queues into one
-    // shared queue: any worker may decompose any batch, so a slow
-    // worker can never strand index messages behind its own backlog.
     index_queues_.clear();
-    const int queue_count = workStealing() ? 1 : options_.num_workers;
-    for (int q = 0; q < queue_count; ++q)
-        index_queues_.push_back(std::make_unique<MpmcQueue<IndexMsg>>());
-    data_queue_ = std::make_unique<MpmcQueue<DataMsg>>();
-    if (workStealing()) {
-        group_ = std::make_unique<StealGroup>(options_.num_workers);
-        std::lock_guard lock(builds_mutex_);
-        builds_.clear();
-    }
+    if (options_.schedule == Schedule::kWorkStealing) {
+        startFleet();
+    } else {
+        data_queue_ = std::make_shared<service::QueueTransport>();
+        for (int w = 0; w < options_.num_workers; ++w)
+            index_queues_.push_back(
+                std::make_unique<MpmcQueue<service::Submission>>());
+        {
+            std::lock_guard lock(worker_pids_mutex_);
+            worker_pids_.assign(
+                static_cast<std::size_t>(options_.num_workers), 0);
+        }
+        for (int w = 0; w < options_.num_workers; ++w)
+            workers_.emplace_back([this, w] { workerLoop(w); });
 
-    {
-        std::lock_guard lock(worker_pids_mutex_);
-        worker_pids_.assign(static_cast<std::size_t>(options_.num_workers),
-                            0);
-    }
-    for (int w = 0; w < options_.num_workers; ++w)
-        workers_.emplace_back([this, w] {
-            if (workStealing())
-                stealingLoop(w);
-            else
-                workerLoop(w);
-        });
-
-    // Wait for every worker to announce its pid so trace records and
-    // workerPids() are complete from the first batch on.
-    {
+        // Wait for every worker to announce its pid so trace records
+        // and workerPids() are complete from the first batch on.
         std::unique_lock lock(worker_pids_mutex_);
         worker_ready_cv_.wait(lock, [this] {
             for (const auto pid : worker_pids_) {
@@ -430,23 +374,63 @@ DataLoader::startEpoch()
 }
 
 void
+DataLoader::startFleet()
+{
+    // The fleet's admission rules are sized to the epoch's in-flight
+    // window — the prefetch_factor x num_workers batches startEpoch
+    // primes and next() keeps topped up — so they never bind.
+    const int window = options_.prefetch_factor * options_.num_workers;
+    service::ServerOptions fleet;
+    fleet.num_workers = options_.num_workers;
+    fleet.max_clients = 1;
+    fleet.max_inflight_samples =
+        static_cast<std::int64_t>(window) * options_.batch_size;
+    fleet.outbound_capacity = window;
+    // The loader keeps the batch plan and pacing; the fleet needs only
+    // what executing and assembling a batch reads.
+    service::ClientConfig tenant;
+    tenant.batch_size = options_.batch_size;
+    tenant.error_policy = options_.error_policy;
+    tenant.max_retries = options_.max_retries;
+    tenant.max_refill_attempts = options_.max_refill_attempts;
+    tenant.logger = options_.logger;
+    service::TenantMetrics telemetry;
+    telemetry.tasks = metrics_.tasks_total;
+    telemetry.queue_depth = metrics_.data_queue_depth;
+    telemetry.batch_span_ns = metrics_.batch_span_ns;
+    telemetry.fetch_ns = metrics_.fetch_ns;
+    telemetry.steals = metrics_.steals;
+    telemetry.pmu = metrics_.pmu;
+
+    fleet_ = std::make_unique<service::PreprocServer>(fleet);
+    // The tenant's fetcher is a copy of ours: same dataset, collate,
+    // decoded-sample cache, and read-ahead engine.
+    tenant_ = fleet_->connectLoader(fetcher_, tenant, std::move(telemetry));
+    data_queue_ = tenant_->transport;
+    std::lock_guard lock(worker_pids_mutex_);
+    worker_pids_ = fleet_->workerTids();
+}
+
+void
 DataLoader::tryPutIndex(int worker_id)
 {
     if (send_idx_ >= numBatches())
         return;
-    IndexMsg msg;
+    service::Submission msg;
     msg.batch_id = send_idx_;
     msg.indices = batches_[static_cast<std::size_t>(send_idx_)];
+    msg.seed_base = epoch_seed_base_;
     batch_worker_[send_idx_] = worker_id;
     ++send_idx_;
-    // Under work-stealing, worker_id stays the nominal home worker
-    // for refill credit, but the message goes on the shared queue.
-    const auto queue =
-        workStealing() ? 0u : static_cast<std::size_t>(worker_id);
+    if (tenant_ != nullptr) {
+        // Work-stealing: any fleet worker may decompose the batch;
+        // worker_id only carries the consume-one/send-one credit.
+        fleet_->submit(*tenant_, std::move(msg));
+        return;
+    }
+    const auto queue = static_cast<std::size_t>(worker_id);
     index_queues_[queue]->push(std::move(msg));
     metrics_.index_queue_depth[queue]->add(1);
-    if (workStealing())
-        group_->notifyWork();
 }
 
 void
@@ -491,14 +475,12 @@ DataLoader::workerLoop(int worker_id)
                               trace::RecordKind::BatchPreprocessed);
         span.record().batch_id = msg->batch_id;
         span.record().pid = pid;
-        DataMsg out;
+        service::BatchMsg out;
         out.batch_id = msg->batch_id;
         out.worker_id = worker_id;
         {
             metrics::ScopedTimer fetch_timer(fetch_hist);
-            PmuSpanGuard pmu_span(metrics_.pmu_cycles,
-                                  metrics_.pmu_instructions,
-                                  metrics_.pmu_llc_misses);
+            PmuSpanGuard pmu_span(metrics_.pmu);
             Result<Batch> batch = fetcher_.tryFetch(
                 msg->batch_id, msg->indices, ctx, errors, {}, seeding);
             // A failed batch still flows through the data queue (not a
@@ -511,216 +493,10 @@ DataLoader::workerLoop(int worker_id)
         }
         span.finish();
 
-        data_queue_->push(std::move(out));
+        data_queue_->send(std::move(out));
         metrics_.data_queue_depth->add(1);
     }
     hwcount::ThreadCounterRegistry::instance().detachCurrentThread();
-}
-
-void
-DataLoader::stealingLoop(int worker_id)
-{
-    setCurrentThreadName(strFormat("loader-%d", worker_id));
-    const std::uint32_t pid = currentTid();
-    {
-        std::lock_guard lock(worker_pids_mutex_);
-        worker_pids_[static_cast<std::size_t>(worker_id)] = pid;
-    }
-    worker_ready_cv_.notify_one();
-    hwcount::ThreadCounterRegistry::instance().attachCurrentThread();
-
-    // The rng object is only the storage ctx points at: runTask
-    // reseeds it per task from (epoch_seed_base_, dataset index), so
-    // draws are identical no matter which worker runs the task.
-    Rng rng(epoch_seed_base_);
-    pipeline::PipelineContext ctx;
-    ctx.logger = options_.logger;
-    ctx.pid = pid;
-    ctx.rng = &rng;
-
-    auto &deque = group_->deque(worker_id);
-    auto &index_queue = *index_queues_[0];
-    for (;;) {
-        // Snapshot the wake counter *before* scanning so a notify
-        // that lands mid-scan cuts the wait short instead of being
-        // lost.
-        const std::uint64_t idle_token = group_->workEpoch();
-
-        // 1) Own deque, LIFO: newest task is cache-warm.
-        if (SampleTask *task = deque.pop()) {
-            runTask(worker_id, task, ctx, rng);
-            continue;
-        }
-        // 2) Steal FIFO from the busiest peer: the oldest task of the
-        // most backed-up worker is the straggler batch's work.
-        int victim = -1;
-        if (SampleTask *task = group_->stealBusiest(worker_id, &victim)) {
-            metrics_.steals[static_cast<std::size_t>(worker_id)]->add(1);
-            if (options_.logger != nullptr) {
-                trace::TraceRecord record;
-                record.kind = trace::RecordKind::StealEvent;
-                record.batch_id = task->build->batch_id;
-                record.pid = pid;
-                record.start = options_.logger->now();
-                record.op_name = strFormat("steal<-w%d", victim);
-                record.sample_index = task->index;
-                options_.logger->log(std::move(record));
-            }
-            runTask(worker_id, task, ctx, rng);
-            continue;
-        }
-        // 3) Nothing to steal: decompose a new batch from the shared
-        // index queue.
-        if (auto msg = index_queue.tryPop()) {
-            metrics_.index_queue_depth[0]->sub(1);
-            decomposeBatch(worker_id, std::move(*msg));
-            continue;
-        }
-        // 4) Idle. The queue only closes after every batch is
-        // consumed (or the epoch aborted), so closed + nothing above
-        // means this worker is done.
-        if (index_queue.closed())
-            break;
-        group_->waitForWork(idle_token, kStealIdleWait);
-    }
-    hwcount::ThreadCounterRegistry::instance().detachCurrentThread();
-}
-
-void
-DataLoader::decomposeBatch(int worker_id, IndexMsg msg)
-{
-    auto owned = std::make_unique<BatchBuild>();
-    BatchBuild *build = owned.get();
-    build->batch_id = msg.batch_id;
-    build->home_worker = worker_id;
-    build->seed_base = epoch_seed_base_;
-    if (options_.logger != nullptr)
-        build->trace_start = options_.logger->now();
-    if (metrics::enabled())
-        build->start = SteadyClock::instance().now();
-    build->indices = std::move(msg.indices);
-    const auto n = build->indices.size();
-    LOTUS_ASSERT(n > 0, "empty batch requested");
-    build->samples.resize(n);
-    build->errors.resize(n);
-    build->tasks.resize(n);
-    build->remaining.store(static_cast<int>(n),
-                           std::memory_order_relaxed);
-    {
-        // Retain the build until the epoch's workers join: a stolen
-        // task pointer must never outlive its build, even when the
-        // epoch aborts mid-batch.
-        std::lock_guard lock(builds_mutex_);
-        builds_.push_back(std::move(owned));
-    }
-    auto &deque = group_->deque(worker_id);
-    for (std::size_t slot = 0; slot < n; ++slot) {
-        SampleTask &task = build->tasks[slot];
-        task.build = build;
-        task.slot = static_cast<int>(slot);
-        task.index = build->indices[slot];
-        task.retries_left = options_.max_retries;
-        task.refills_left = options_.max_refill_attempts;
-        deque.push(&task);
-    }
-    metrics_.tasks_total->add(n);
-    group_->notifyWork();
-}
-
-void
-DataLoader::runTask(int worker_id, SampleTask *task,
-                    pipeline::PipelineContext &ctx, Rng &rng)
-{
-    BatchBuild &build = *task->build;
-    ctx.batch_id = build.batch_id;
-    ctx.sample_index = task->index;
-    // The per-sample seeding contract (FetchSeeding): reseed on the
-    // current candidate index so retries replay and refills draw what
-    // the replacement index would draw in its own slot.
-    rng = Rng(sampleRngSeed(build.seed_base, task->index));
-
-    trace::SpanTimer span(options_.logger, trace::RecordKind::TaskSpan);
-    span.record().op_name = "task";
-    span.record().batch_id = build.batch_id;
-    span.record().pid = ctx.pid;
-    span.record().sample_index = task->index;
-    Result<pipeline::Sample> sample = [&] {
-        metrics::ScopedTimer fetch_timer(
-            metrics_.fetch_ns[static_cast<std::size_t>(worker_id)]);
-        PmuSpanGuard pmu_span(metrics_.pmu_cycles,
-                              metrics_.pmu_instructions,
-                              metrics_.pmu_llc_misses);
-        return fetcher_.getSample(task->index, ctx);
-    }();
-    span.finish();
-    ctx.sample_index = -1;
-
-    const ErrorHandling errors{options_.error_policy, options_.max_retries,
-                               options_.max_refill_attempts};
-    switch (resolveTask(task, std::move(sample), errors, dataset_->size(),
-                        ctx)) {
-      case TaskOutcome::kRequeue:
-        // This worker still owns the mutated task: re-enqueue it so
-        // peers can steal the follow-up attempt too.
-        group_->deque(worker_id).push(task);
-        group_->notifyWork();
-        break;
-      case TaskOutcome::kResolved:
-        break;
-      case TaskOutcome::kBatchDone:
-        completeBatch(worker_id, build, ctx);
-        break;
-    }
-}
-
-void
-DataLoader::completeBatch(int worker_id, BatchBuild &build,
-                          pipeline::PipelineContext &ctx)
-{
-    DataMsg out;
-    out.batch_id = build.batch_id;
-    out.worker_id = worker_id;
-
-    // Deterministic failure selection: the lowest failed slot is the
-    // first failure round-robin's sequential fetch would have hit, so
-    // both schedules surface the same error for the same seed. (Error
-    // *counts* can differ under kFail: stealing attempts every slot,
-    // round-robin stops at the first failure.)
-    std::size_t first_error = build.errors.size();
-    for (std::size_t slot = 0; slot < build.errors.size(); ++slot) {
-        if (build.errors[slot].has_value()) {
-            first_error = slot;
-            break;
-        }
-    }
-    if (first_error < build.errors.size()) {
-        out.error = std::move(*build.errors[first_error]);
-    } else {
-        ctx.batch_id = build.batch_id;
-        out.batch = fetcher_.collateBatch(build.batch_id,
-                                          std::move(build.samples), ctx);
-    }
-
-    // [T1] for the whole build: decompose -> last slot + collate, in
-    // the finisher's lane. The span can overlap other batches' task
-    // spans in the same lane — that is the point of the schedule.
-    if (options_.logger != nullptr) {
-        trace::TraceRecord record;
-        record.kind = trace::RecordKind::BatchPreprocessed;
-        record.batch_id = build.batch_id;
-        record.pid = ctx.pid;
-        record.start = build.trace_start;
-        record.duration = options_.logger->now() - build.trace_start;
-        options_.logger->log(std::move(record));
-    }
-    if (build.start != 0 && metrics::enabled()) {
-        const TimeNs span = SteadyClock::instance().now() - build.start;
-        metrics_.batch_span_ns->record(
-            static_cast<std::uint64_t>(span > 0 ? span : 0));
-    }
-
-    data_queue_->push(std::move(out));
-    metrics_.data_queue_depth->add(1);
 }
 
 void
@@ -755,9 +531,7 @@ DataLoader::nextSynchronous()
     Batch result;
     {
         metrics::ScopedTimer fetch_timer(metrics_.fetch_ns[0]);
-        PmuSpanGuard pmu_span(metrics_.pmu_cycles,
-                              metrics_.pmu_instructions,
-                              metrics_.pmu_llc_misses);
+        PmuSpanGuard pmu_span(metrics_.pmu);
         const ErrorHandling errors{options_.error_policy,
                                    options_.max_retries,
                                    options_.max_refill_attempts};
@@ -821,7 +595,7 @@ DataLoader::next()
 
     if (auto cached = reorder_cache_.find(wanted);
         cached != reorder_cache_.end()) {
-        DataMsg msg = std::move(cached->second);
+        service::BatchMsg msg = std::move(cached->second);
         reorder_cache_.erase(cached);
         metrics_.pin_cache_size->sub(1);
         if (msg.error.has_value())
@@ -838,7 +612,7 @@ DataLoader::next()
         const TimeNs wait_start =
             measured ? SteadyClock::instance().now() : 0;
         while (!have_result) {
-            auto msg = data_queue_->pop();
+            auto msg = data_queue_->receive();
             LOTUS_ASSERT(msg.has_value(),
                          "data queue closed with batches outstanding");
             metrics_.data_queue_depth->sub(1);
@@ -894,7 +668,7 @@ DataLoader::next()
 }
 
 void
-DataLoader::raiseWorkerError(DataMsg msg)
+DataLoader::raiseWorkerError(service::BatchMsg msg)
 {
     LOTUS_ASSERT(msg.error.has_value());
     // The epoch cannot continue past a failed batch: release the
@@ -916,28 +690,24 @@ void
 DataLoader::shutdownWorkers()
 {
     // Drop outstanding prefetches first: a worker blocked in a
-    // read-ahead claim wakes with a miss, finishes its batch via
-    // synchronous reads, and then observes the closed index queue.
+    // read-ahead claim wakes with a miss, finishes its sample or batch
+    // via synchronous reads, and then sees the shutdown.
     if (read_ahead_ != nullptr)
         read_ahead_->cancel();
     for (auto &queue : index_queues_)
         queue->close();
-    if (group_ != nullptr)
-        group_->notifyShutdown();
+    if (tenant_ != nullptr) {
+        // Outstanding tasks are canceled; destroying the fleet joins
+        // its workers.
+        fleet_->disconnect(tenant_);
+        tenant_.reset();
+        fleet_.reset();
+    }
     for (auto &worker : workers_) {
         if (worker.joinable())
             worker.join();
     }
     workers_.clear();
-    // Builds (and with them every SampleTask the deques ever held)
-    // are only released once no worker can touch them.
-    if (group_ != nullptr) {
-        {
-            std::lock_guard lock(builds_mutex_);
-            builds_.clear();
-        }
-        group_.reset();
-    }
 }
 
 } // namespace lotus::dataflow

@@ -35,9 +35,14 @@
 #include "common/rng.h"
 #include "dataflow/error_policy.h"
 #include "dataflow/fetcher.h"
-#include "dataflow/work_queue.h"
 #include "metrics/metrics.h"
+#include "service/transport.h"
 #include "trace/logger.h"
+
+namespace lotus::service {
+class PreprocServer;
+struct ClientState;
+} // namespace lotus::service
 
 namespace lotus::dataflow {
 
@@ -47,13 +52,13 @@ namespace lotus::dataflow {
  * kRoundRobin is the paper-faithful §II-B protocol (static
  * whole-batch assignment, one index queue per worker) and the default
  * — characterization runs must keep it to reproduce the paper's [T2]
- * behavior. kWorkStealing decomposes every batch into per-sample
- * tasks on per-worker Chase–Lev deques: a worker drains its own deque
- * LIFO and steals FIFO from the busiest peer, so an idle fleet
- * collaborates on a straggler's batch instead of waiting behind it
- * (index queues collapse into one shared queue; see DESIGN.md §10).
- * Batch contents are bit-identical across both modes and
- * num_workers=0 for the same seed.
+ * behavior. kWorkStealing runs each epoch as the single tenant of a
+ * private PreprocServer fleet (src/service/) of num_workers threads:
+ * every batch decomposes into per-sample tasks that any idle worker
+ * takes FIFO, so the fleet collaborates on a straggler's batch
+ * instead of waiting behind it (see DESIGN.md §10). Batch contents
+ * are bit-identical across both modes and num_workers=0 for the same
+ * seed.
  */
 enum class Schedule : std::uint8_t
 {
@@ -61,8 +66,9 @@ enum class Schedule : std::uint8_t
     kWorkStealing,
 };
 
-/** Counter family for tasks stolen under Schedule::kWorkStealing,
- *  exported per thief as {worker=N}. */
+/** Counter family for tasks stolen under Schedule::kWorkStealing —
+ *  run by a fleet worker other than the one that decomposed their
+ *  batch — exported per thief as {worker=N}. */
 inline constexpr const char *kStealsMetric = "lotus_loader_steals_total";
 /** Per-sample tasks executed under Schedule::kWorkStealing. */
 inline constexpr const char *kTasksMetric = "lotus_loader_tasks_total";
@@ -278,43 +284,14 @@ class DataLoader
     std::vector<std::uint32_t> workerPids() const;
 
   private:
-    struct DataMsg
-    {
-        std::int64_t batch_id = -1;
-        int worker_id = -1;
-        pipeline::Batch batch;
-        /** Set when the worker's fetch failed unrecoverably; batch is
-         *  then empty and next() re-raises as a LoaderError. */
-        std::optional<Error> error;
-    };
-
-    struct IndexMsg
-    {
-        std::int64_t batch_id = -1;
-        std::vector<std::int64_t> indices;
-    };
-
     void workerLoop(int worker_id);
-    /** Worker body under Schedule::kWorkStealing: pop own deque,
-     *  steal from the busiest peer, else decompose a new batch. */
-    void stealingLoop(int worker_id);
-    /** Split an IndexMsg into per-sample tasks on @p worker's deque. */
-    void decomposeBatch(int worker_id, IndexMsg msg);
-    /** Resolve one task's slot; the countdown's last writer collates. */
-    void runTask(int worker_id, SampleTask *task,
-                 pipeline::PipelineContext &ctx, Rng &rng);
-    /** Last-finishing worker: pick the batch outcome, collate, ship. */
-    void completeBatch(int worker_id, BatchBuild &build,
-                       pipeline::PipelineContext &ctx);
-    bool workStealing() const
-    {
-        return options_.schedule == Schedule::kWorkStealing &&
-               options_.num_workers > 0;
-    }
+    /** Schedule::kWorkStealing: start this epoch's private fleet and
+     *  connect the loader as its only tenant. */
+    void startFleet();
     void tryPutIndex(int worker_id);
     void pinBatch(pipeline::Batch &batch) const;
     /** Shut the epoch down and re-raise a worker's sample error. */
-    [[noreturn]] void raiseWorkerError(DataMsg msg);
+    [[noreturn]] void raiseWorkerError(service::BatchMsg msg);
     void shutdownWorkers();
     void rebuildBatches();
     void registerMetrics();
@@ -343,9 +320,7 @@ class DataLoader
         metrics::Histogram *batch_span_ns = nullptr;
         /** Measured per-thread PMU deltas summed over fetch spans
          *  (stay zero on the simulated backend). */
-        metrics::Counter *pmu_cycles = nullptr;
-        metrics::Counter *pmu_instructions = nullptr;
-        metrics::Counter *pmu_llc_misses = nullptr;
+        PmuCounters pmu;
     };
 
     std::shared_ptr<const pipeline::Dataset> dataset_;
@@ -367,8 +342,13 @@ class DataLoader
     bool epoch_started_ = false;
     /** Epoch counter driving the per-epoch reshuffle. */
     std::int64_t epoch_ = 0;
-    std::vector<std::unique_ptr<MpmcQueue<IndexMsg>>> index_queues_;
-    std::unique_ptr<MpmcQueue<DataMsg>> data_queue_;
+    /** Round-robin: one index queue per worker. Work-stealing sends
+     *  the same Submission messages to the fleet instead. */
+    std::vector<std::unique_ptr<MpmcQueue<service::Submission>>>
+        index_queues_;
+    /** The shared data queue: the round-robin workers' queue, or the
+     *  fleet tenant's transport under work-stealing. */
+    std::shared_ptr<service::BatchTransport> data_queue_;
     std::vector<std::thread> workers_;
     std::vector<std::uint32_t> worker_pids_;
     mutable std::mutex worker_pids_mutex_;
@@ -379,17 +359,13 @@ class DataLoader
     std::int64_t rcvd_idx_ = 0;
     /** Early out-of-order arrivals (batches pinned; errors held until
      *  their turn so failures surface in batch order). */
-    std::map<std::int64_t, DataMsg> reorder_cache_;
+    std::map<std::int64_t, service::BatchMsg> reorder_cache_;
     std::map<std::int64_t, int> batch_worker_;
 
-    // Work-stealing state (null / empty under kRoundRobin).
-    /** The epoch's deques + idle coordination; rebuilt per epoch. */
-    std::unique_ptr<StealGroup> group_;
-    /** In-flight batch assemblies. Retained until the epoch's workers
-     *  join so stolen task pointers can never dangle; the heavy
-     *  payload leaves at collate, so retention is cheap. */
-    std::vector<std::unique_ptr<BatchBuild>> builds_;
-    std::mutex builds_mutex_;
+    // Work-stealing state (null under kRoundRobin): the epoch's fleet
+    // and the loader's tenant state on it.
+    std::unique_ptr<service::PreprocServer> fleet_;
+    std::shared_ptr<service::ClientState> tenant_;
     /** epochSeedBase(seed, epoch); drives per-sample RNG reseeding. */
     std::uint64_t epoch_seed_base_ = 0;
 

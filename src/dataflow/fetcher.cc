@@ -1,6 +1,7 @@
 #include "dataflow/fetcher.h"
 
 #include "common/clock.h"
+#include "hwcount/thread_counters.h"
 #include "metrics/metrics.h"
 #include "pipeline/traced_store.h"
 
@@ -30,6 +31,26 @@ Fetcher::fetch(std::int64_t batch_id,
         LOTUS_FATAL("batch %lld: %s", static_cast<long long>(batch_id),
                     batch.error().describe().c_str());
     return batch.take();
+}
+
+PmuSpanGuard::PmuSpanGuard(const PmuCounters &counters)
+    : counters_(counters),
+      active_(counters.cycles != nullptr &&
+              hwcount::ThreadCounterRegistry::threadHasPmu())
+{
+    if (active_)
+        start_ = hwcount::ThreadCounterRegistry::readCurrent();
+}
+
+PmuSpanGuard::~PmuSpanGuard()
+{
+    if (!active_)
+        return;
+    const hwcount::CounterSet delta = hwcount::counterDelta(
+        hwcount::ThreadCounterRegistry::readCurrent(), start_);
+    counters_.cycles->add(delta.cycles);
+    counters_.instructions->add(delta.instructions);
+    counters_.llc_misses->add(delta.llc_misses);
 }
 
 void

@@ -1,14 +1,15 @@
 /**
  * @file
- * The substrate-neutral half of per-sample task execution.
+ * The content-deciding half of per-sample task execution.
  *
- * Schedule::kWorkStealing (DataLoader) and the multi-tenant
- * PreprocServer (src/service/) run the same unit of work — resolve
- * one BatchBuild slot under an ErrorPolicy — on different fleets.
- * Everything that decides batch *contents* lives here, in one place,
- * so the two cannot drift: the per-epoch seed mix, and the
- * retry/skip candidate walk that must match Fetcher::fetchSample
- * exactly (the determinism contract of DESIGN.md §10/§15).
+ * The PreprocServer fleet (src/service/) executes every per-sample
+ * task — its own tenants' and those of a Schedule::kWorkStealing
+ * DataLoader. Batch *contents* must nevertheless match the loader's
+ * whole-batch paths (round-robin workers and num_workers=0) byte for
+ * byte, so what decides them lives here, next to Fetcher: the
+ * per-epoch seed mix, and the retry/skip candidate walk that must
+ * match Fetcher::fetchSample exactly (the determinism contract of
+ * DESIGN.md §10/§15).
  */
 
 #ifndef LOTUS_DATAFLOW_TASK_RUNNER_H

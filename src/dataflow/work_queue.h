@@ -1,21 +1,23 @@
 /**
  * @file
- * Per-worker work-stealing deques for Schedule::kWorkStealing.
+ * The per-sample task substrate of the PreprocServer fleet
+ * (src/service/), which also runs every Schedule::kWorkStealing
+ * DataLoader.
  *
- * Each DataLoader worker owns a TaskDeque of per-sample fetch tasks:
- * the owner pushes and pops at the bottom (LIFO, cache-warm), idle
- * peers steal from the top (FIFO, oldest batch first) — the Chase–Lev
- * shape. A shared BatchBuild per in-flight batch collects the slot
- * results; an atomic countdown elects the last-finishing worker to
- * collate and ship the batch (see DESIGN.md §10 for the memory-order
- * argument).
+ * Each fleet tenant owns a TaskDeque of per-sample fetch tasks.
+ * Pushes (decompose, retry/skip requeue) are serialized by the
+ * tenant's push mutex; every fleet worker consumes by steal() from
+ * the top, FIFO — oldest batch first. A shared BatchBuild per
+ * in-flight batch collects the slot results; an atomic countdown
+ * elects the last-finishing worker to collate and ship the batch
+ * (see DESIGN.md §10 for the memory-order argument).
  *
- * The deque is lock-free for push/pop/steal. It deliberately uses the
+ * The deque is lock-free for push/steal. It deliberately uses the
  * fence-free seq_cst formulation of Chase–Lev rather than standalone
  * atomic_thread_fence: ThreadSanitizer does not model fences, and the
  * deques must stay TSan-clean (tools/run_tsan.sh). The seq_cst
- * top/bottom operations cost a few cycles more per pop/steal, which
- * is noise next to a sample fetch (tens of microseconds and up).
+ * top/bottom operations cost a few cycles more per steal, which is
+ * noise next to a sample fetch (tens of microseconds and up).
  */
 
 #ifndef LOTUS_DATAFLOW_WORK_QUEUE_H
@@ -40,9 +42,9 @@ struct BatchBuild;
 /**
  * One per-sample fetch task. Tasks live in their BatchBuild's `tasks`
  * array (stable addresses); the deques traffic in pointers. Exactly
- * one worker owns a task at any time — the one that popped or stole
- * it — so the non-atomic fields may be mutated and the task re-pushed
- * (retry / skip-refill) without further synchronization: the deque's
+ * one worker owns a task at any time — the one that stole it — so
+ * the non-atomic fields may be mutated and the task re-pushed (retry
+ * / skip-refill) without further synchronization: the deque's
  * push/steal ordering publishes the writes to the next owner.
  */
 struct SampleTask
@@ -60,21 +62,19 @@ struct SampleTask
  * Shared assembly state for one decomposed batch. Slot vectors are
  * single-writer (each slot belongs to exactly one task); `remaining`
  * counts unresolved slots, and the fetch_sub that takes it to zero
- * elects the collating worker. Builds are retained by the loader
- * until the epoch's workers have joined, so a stolen task can never
- * outlive its build.
+ * elects the collating worker, which then frees the build: after the
+ * last slot resolves no worker owns one of its tasks.
  *
  * The build also carries everything a worker needs to execute its
  * tasks without knowing who submitted them: `seed_base` drives the
  * per-(seed, epoch, sample) RNG reseeding (FetchSeeding), and
- * `client_id`/`generation` identify the submitting tenant and epoch
- * incarnation when the substrate is shared by a PreprocServer
- * (src/service/); a solo DataLoader leaves them at their defaults.
+ * `generation` identifies the submitting tenant's epoch incarnation.
  */
 struct BatchBuild
 {
     std::int64_t batch_id = -1;
-    /** Worker that dequeued the IndexMsg (trace/refill bookkeeping). */
+    /** Fleet worker that decomposed the batch; a task run by any
+     *  other worker counts as a steal. */
     int home_worker = 0;
     /** Decompose time on the metrics clock; 0 when metrics are off. */
     TimeNs start = 0;
@@ -84,8 +84,6 @@ struct BatchBuild
      *  reseed with sampleRngSeed(seed_base, index), so mixed-tenant
      *  fleets stay bit-identical to a solo loader per tenant. */
     std::uint64_t seed_base = 0;
-    /** Submitting service client (-1: a solo DataLoader's build). */
-    std::int64_t client_id = -1;
     /** Submitting client's epoch incarnation; a mismatch against the
      *  client's live generation means the build was canceled
      *  (disconnect / aborted epoch) and must drain, not ship. */
@@ -98,9 +96,10 @@ struct BatchBuild
 };
 
 /**
- * Chase–Lev-style deque of SampleTask pointers.
+ * Chase–Lev-style deque of SampleTask pointers, consumed only from
+ * the top.
  *
- * Owner-only: push(), pop(). Any thread: steal(), sizeEstimate().
+ * Owner-only (one pusher at a time): push(). Any thread: steal().
  * The ring grows on demand (owner-only); retired rings are kept until
  * destruction so a concurrent steal can always dereference the ring
  * it loaded.
@@ -117,15 +116,9 @@ class TaskDeque
     /** Owner only: push one task at the bottom. */
     void push(SampleTask *task);
 
-    /** Owner only: pop the most recently pushed task, or null. */
-    SampleTask *pop();
-
-    /** Any thread: steal the oldest task, or null (empty or lost a
-     *  race — callers just move on to another victim). */
+    /** Any thread: steal the oldest task, or null once the deque is
+     *  empty (a CAS lost to another thief retries). */
     SampleTask *steal();
-
-    /** Approximate depth (racy; used only for victim selection). */
-    std::int64_t sizeEstimate() const;
 
   private:
     struct Ring
@@ -173,9 +166,6 @@ class TaskDeque
  * scanning for work and passes the token to waitForWork(), so a
  * notify that lands between the scan and the wait is never lost. The
  * timeout is only a backstop against pathological scheduling.
- *
- * Extracted from StealGroup so fleets whose deques are not per-worker
- * (the PreprocServer's per-client deques) reuse the same protocol.
  */
 class WorkSignal
 {
@@ -183,7 +173,7 @@ class WorkSignal
     /** Current wake-event count; snapshot before scanning for work. */
     std::uint64_t workEpoch() const;
 
-    /** New work exists (task pushed / index queued): wake idlers. */
+    /** New work exists (task pushed / batch submitted): wake idlers. */
     void notifyWork();
 
     /** Fleet tear-down: wake everyone for their shutdown check. */
@@ -200,39 +190,6 @@ class WorkSignal
     std::condition_variable cv_;
     std::uint64_t work_epoch_ = 0;
     bool shutdown_ = false;
-};
-
-/**
- * The deques of one epoch's workers plus the idle/wake coordination
- * (a WorkSignal).
- */
-class StealGroup
-{
-  public:
-    explicit StealGroup(int num_workers);
-
-    TaskDeque &deque(int worker) { return *deques_[static_cast<std::size_t>(worker)]; }
-    int size() const { return static_cast<int>(deques_.size()); }
-
-    /**
-     * Steal one task from the deepest peer deque (FIFO: the oldest
-     * task of the most backed-up worker, i.e. the straggler batch).
-     * @param victim_out set to the victim worker id on success.
-     */
-    SampleTask *stealBusiest(int thief, int *victim_out);
-
-    /** See WorkSignal. */
-    std::uint64_t workEpoch() const { return signal_.workEpoch(); }
-    void notifyWork() { signal_.notifyWork(); }
-    void notifyShutdown() { signal_.notifyShutdown(); }
-    void waitForWork(std::uint64_t seen_epoch, TimeNs timeout)
-    {
-        signal_.waitForWork(seen_epoch, timeout);
-    }
-
-  private:
-    std::vector<std::unique_ptr<TaskDeque>> deques_;
-    WorkSignal signal_;
 };
 
 } // namespace lotus::dataflow

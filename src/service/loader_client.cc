@@ -11,7 +11,7 @@ LoaderClient::LoaderClient(PreprocServer *server,
     : server_(server), state_(std::move(state))
 {
     batches_ = dataflow::epochBatchPlan(
-        state_->dataset->size(), state_->config.batch_size,
+        state_->fetcher.dataset().size(), state_->config.batch_size,
         state_->config.shuffle, state_->config.drop_last,
         state_->config.seed, /*epoch=*/0);
 }
@@ -36,7 +36,7 @@ LoaderClient::startEpoch()
     if (epoch_started_)
         ++epoch_;
     batches_ = dataflow::epochBatchPlan(
-        state_->dataset->size(), state_->config.batch_size,
+        state_->fetcher.dataset().size(), state_->config.batch_size,
         state_->config.shuffle, state_->config.drop_last,
         state_->config.seed, epoch_);
     seed_base_ = dataflow::epochSeedBase(state_->config.seed, epoch_);
@@ -87,8 +87,7 @@ LoaderClient::next()
             auto received = state_->transport->receive();
             LOTUS_ASSERT(received.has_value(),
                          "transport closed with batches outstanding");
-            state_->queue_depth_metric->set(
-                static_cast<std::int64_t>(state_->transport->depth()));
+            state_->metrics.queue_depth->sub(1);
             if (received->generation != generation_)
                 continue; // canceled incarnation residue
             if (received->batch_id == wanted) {
@@ -103,7 +102,7 @@ LoaderClient::next()
         if (measured) {
             const TimeNs waited =
                 SteadyClock::instance().now() - wait_start;
-            state_->wait_ns_metric->record(
+            state_->metrics.wait_ns->record(
                 static_cast<std::uint64_t>(waited > 0 ? waited : 0));
         }
     }

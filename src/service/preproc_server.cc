@@ -1,6 +1,8 @@
 #include "service/preproc_server.h"
 
 #include <algorithm>
+#include <cmath>
+#include <tuple>
 
 #include "common/strings.h"
 #include "common/thread_util.h"
@@ -17,7 +19,7 @@ using dataflow::TaskOutcome;
 namespace {
 
 /** Idle-worker wake backstop; WorkSignal events make the common case
- *  prompt (same constant as the solo work-stealing loop). */
+ *  prompt. */
 constexpr TimeNs kServiceIdleWait = 200 * kMicrosecond;
 
 void
@@ -39,38 +41,58 @@ validateOptions(const ServerOptions &options)
             options.outbound_capacity);
 }
 
-/** Fatal like DataLoaderOptions validation: a bad client config is a
- *  caller bug, not an admission decision. */
-void
+/** A bad tenant config is refused at connect() like an admission
+ *  decision — never fatal, since other tenants share the process. */
+std::optional<Error>
 validateClientConfig(const ClientConfig &config)
 {
     if (config.batch_size <= 0)
-        LOTUS_FATAL("ClientConfig: batch_size must be > 0 (got %d)",
-                    config.batch_size);
-    if (config.weight <= 0.0)
-        LOTUS_FATAL("ClientConfig: weight must be > 0 (got %g)",
-                    config.weight);
+        return LOTUS_ERROR(ErrorCode::kInvalidArgument,
+                           "ClientConfig: batch_size must be > 0 (got %d)",
+                           config.batch_size);
+    // Finite and positive: vtime() divides by it, and a NaN vtime
+    // would break the victim order's strict weak ordering.
+    if (!(config.weight > 0.0 && std::isfinite(config.weight)))
+        return LOTUS_ERROR(ErrorCode::kInvalidArgument,
+                           "ClientConfig: weight must be finite and > 0 "
+                           "(got %g)",
+                           config.weight);
     if (config.prefetch_batches < 1)
-        LOTUS_FATAL("ClientConfig: prefetch_batches must be >= 1 (got %d)",
-                    config.prefetch_batches);
+        return LOTUS_ERROR(
+            ErrorCode::kInvalidArgument,
+            "ClientConfig: prefetch_batches must be >= 1 (got %d)",
+            config.prefetch_batches);
     if (config.max_retries < 0)
-        LOTUS_FATAL("ClientConfig: max_retries must be >= 0 (got %d)",
-                    config.max_retries);
+        return LOTUS_ERROR(ErrorCode::kInvalidArgument,
+                           "ClientConfig: max_retries must be >= 0 (got %d)",
+                           config.max_retries);
     if (config.max_refill_attempts < 0)
-        LOTUS_FATAL(
+        return LOTUS_ERROR(
+            ErrorCode::kInvalidArgument,
             "ClientConfig: max_refill_attempts must be >= 0 (got %d)",
             config.max_refill_attempts);
+    return std::nullopt;
+}
+
+/** True when @p build belongs to a canceled incarnation of @p client
+ *  (epoch abort or disconnect): its tasks drain as no-ops. */
+bool
+canceled(const ClientState &client, const BatchBuild &build)
+{
+    return client.disconnected.load(std::memory_order_acquire) ||
+           build.generation !=
+               client.generation.load(std::memory_order_acquire);
 }
 
 } // namespace
 
 PreprocServer::PreprocServer(ServerOptions options)
-    : options_(std::move(options))
+    : options_(std::move(options)),
+      worker_tids_(static_cast<std::size_t>(
+          std::max(options_.num_workers, 0))),
+      workers_started_(std::max(options_.num_workers, 0))
 {
     validateOptions(options_);
-    auto &registry = metrics::MetricsRegistry::instance();
-    clients_metric_ = registry.gauge(kServiceClientsMetric);
-    rejected_metric_ = registry.counter(kServiceRejectedMetric);
     workers_.reserve(static_cast<std::size_t>(options_.num_workers));
     for (int w = 0; w < options_.num_workers; ++w)
         workers_.emplace_back([this, w] { workerLoop(w); });
@@ -103,10 +125,16 @@ PreprocServer::connect(std::shared_ptr<const pipeline::Dataset> dataset,
                        std::shared_ptr<const pipeline::Collate> collate,
                        ClientConfig config)
 {
-    validateClientConfig(config);
+    if (std::optional<Error> invalid = validateClientConfig(config))
+        return std::move(*invalid);
     std::shared_ptr<ClientState> state;
     {
         std::lock_guard lock(clients_mutex_);
+        auto &registry = metrics::MetricsRegistry::instance();
+        if (clients_metric_ == nullptr) {
+            clients_metric_ = registry.gauge(kServiceClientsMetric);
+            rejected_metric_ = registry.counter(kServiceRejectedMetric);
+        }
         int live = 0;
         double min_vtime = -1.0;
         for (const auto &client : clients_) {
@@ -127,8 +155,22 @@ PreprocServer::connect(std::shared_ptr<const pipeline::Dataset> dataset,
                 options_.name.c_str(), live, options_.max_clients);
         }
         const std::int64_t id = next_client_id_++;
-        state = std::make_shared<ClientState>(id, std::move(dataset),
-                                              std::move(collate), config);
+        const std::string label = strFormat("%lld",
+                                            static_cast<long long>(id));
+        TenantMetrics metrics;
+        metrics.tasks = registry.counter(
+            metrics::labeled(kServiceTasksMetric, "client", label));
+        metrics.batches = registry.counter(
+            metrics::labeled(kServiceBatchesMetric, "client", label));
+        metrics.wait_ns = registry.histogram(
+            metrics::labeled(kServiceWaitNsMetric, "client", label));
+        metrics.queue_depth = registry.gauge(
+            metrics::labeled(kServiceQueueDepthMetric, "client", label));
+        metrics.inflight = registry.gauge(
+            metrics::labeled(kServiceInflightMetric, "client", label));
+        state = std::make_shared<ClientState>(
+            id, dataflow::Fetcher(std::move(dataset), std::move(collate)),
+            config, std::move(metrics));
         // Weighted-fair join: a fresh client starts at the fleet's
         // current minimum virtual time — starting at zero would let
         // it monopolize the fleet to "catch up" with tenants that
@@ -137,24 +179,30 @@ PreprocServer::connect(std::shared_ptr<const pipeline::Dataset> dataset,
             state->service_ns.store(
                 static_cast<std::uint64_t>(min_vtime * config.weight),
                 std::memory_order_relaxed);
-        auto &registry = metrics::MetricsRegistry::instance();
-        const std::string label = strFormat("%lld",
-                                            static_cast<long long>(id));
-        state->tasks_metric = registry.counter(
-            metrics::labeled(kServiceTasksMetric, "client", label));
-        state->batches_metric = registry.counter(
-            metrics::labeled(kServiceBatchesMetric, "client", label));
-        state->wait_ns_metric = registry.histogram(
-            metrics::labeled(kServiceWaitNsMetric, "client", label));
-        state->queue_depth_metric = registry.gauge(
-            metrics::labeled(kServiceQueueDepthMetric, "client", label));
-        state->inflight_metric = registry.gauge(
-            metrics::labeled(kServiceInflightMetric, "client", label));
         clients_.push_back(state);
         clients_metric_->set(live + 1);
     }
     return std::shared_ptr<LoaderClient>(
         new LoaderClient(this, std::move(state)));
+}
+
+std::shared_ptr<ClientState>
+PreprocServer::connectLoader(dataflow::Fetcher fetcher,
+                             const ClientConfig &config,
+                             TenantMetrics metrics)
+{
+    std::lock_guard lock(clients_mutex_);
+    auto state = std::make_shared<ClientState>(
+        next_client_id_++, std::move(fetcher), config, std::move(metrics));
+    clients_.push_back(state);
+    return state;
+}
+
+std::vector<std::uint32_t>
+PreprocServer::workerTids()
+{
+    workers_started_.wait();
+    return worker_tids_;
 }
 
 ServerStats
@@ -203,12 +251,15 @@ PreprocServer::drainPending(ClientState &client)
     // Samples canceled before they ever became tasks count as dropped
     // alongside the stale-task no-op drain, so a canceled epoch's
     // accounting is complete whether or not decomposition got to it.
-    while (auto submission = client.pending.tryPop()) {
-        const auto n =
-            static_cast<std::uint64_t>(submission->indices.size());
-        client.dropped_tasks.fetch_add(n, std::memory_order_relaxed);
-        total_dropped_.fetch_add(n, std::memory_order_relaxed);
-    }
+    while (auto submission = client.pending.tryPop())
+        noteDropped(client, submission->indices.size());
+}
+
+void
+PreprocServer::noteDropped(ClientState &client, std::uint64_t samples)
+{
+    client.dropped_tasks.fetch_add(samples, std::memory_order_relaxed);
+    total_dropped_.fetch_add(samples, std::memory_order_relaxed);
 }
 
 std::uint64_t
@@ -232,12 +283,14 @@ PreprocServer::disconnect(const std::shared_ptr<ClientState> &client)
     client->transport->close();
     {
         std::lock_guard lock(clients_mutex_);
-        int live = 0;
-        for (const auto &other : clients_) {
-            if (!other->disconnected.load(std::memory_order_acquire))
-                ++live;
+        if (clients_metric_ != nullptr) {
+            int live = 0;
+            for (const auto &other : clients_) {
+                if (!other->disconnected.load(std::memory_order_acquire))
+                    ++live;
+            }
+            clients_metric_->set(live);
         }
-        clients_metric_->set(live);
     }
     // Wake the fleet: idle workers drain the client's stale deque
     // tasks as no-ops, after which reapDisconnected drops the state.
@@ -247,29 +300,38 @@ PreprocServer::disconnect(const std::shared_ptr<ClientState> &client)
 std::vector<std::shared_ptr<ClientState>>
 PreprocServer::clientsByVtime() const
 {
-    std::vector<std::shared_ptr<ClientState>> snapshot;
+    // Fleet workers move `disconnected` and vtime() while we sort, so
+    // the comparator must only see keys read once up front: sorting on
+    // live values is not a strict weak ordering, and libstdc++'s
+    // unguarded insertion sort then walks off the buffer.
+    struct Keyed
+    {
+        bool live;
+        double vtime;
+        std::shared_ptr<ClientState> client;
+    };
+    std::vector<Keyed> keyed;
     {
         std::lock_guard lock(clients_mutex_);
-        snapshot = clients_;
+        keyed.reserve(clients_.size());
+        for (const auto &client : clients_)
+            keyed.push_back(
+                {!client->disconnected.load(std::memory_order_relaxed),
+                 client->vtime(), client});
     }
-    // Disconnected clients sort first so their cancellation drain
-    // (cheap no-op tasks) clears promptly; live clients order by
-    // virtual time — the weighted-fair victim selection.
-    std::sort(snapshot.begin(), snapshot.end(),
-              [](const auto &a, const auto &b) {
-                  const bool da =
-                      a->disconnected.load(std::memory_order_relaxed);
-                  const bool db =
-                      b->disconnected.load(std::memory_order_relaxed);
-                  if (da != db)
-                      return da;
-                  const double va = a->vtime();
-                  const double vb = b->vtime();
-                  if (va != vb)
-                      return va < vb;
-                  return a->id < b->id;
+    // Disconnected clients first so their cancellation drain (cheap
+    // no-op tasks) clears promptly; live clients by virtual time —
+    // the weighted-fair victim selection.
+    std::sort(keyed.begin(), keyed.end(),
+              [](const Keyed &a, const Keyed &b) {
+                  return std::tie(a.live, a.vtime, a.client->id) <
+                         std::tie(b.live, b.vtime, b.client->id);
               });
-    return snapshot;
+    std::vector<std::shared_ptr<ClientState>> order;
+    order.reserve(keyed.size());
+    for (Keyed &entry : keyed)
+        order.push_back(std::move(entry.client));
+    return order;
 }
 
 void
@@ -328,11 +390,7 @@ PreprocServer::tryDecompose(int worker_id)
             client->generation.load(std::memory_order_acquire)) {
             // Stale epoch residue: discard, counting its samples like
             // the drainPending and stale-task no-op paths do.
-            const auto n =
-                static_cast<std::uint64_t>(submission->indices.size());
-            client->dropped_tasks.fetch_add(n,
-                                            std::memory_order_relaxed);
-            total_dropped_.fetch_add(n, std::memory_order_relaxed);
+            noteDropped(*client, submission->indices.size());
             continue;
         }
         decompose(*client, std::move(*submission), worker_id);
@@ -352,7 +410,6 @@ PreprocServer::decompose(ClientState &client, Submission submission,
     build->batch_id = submission.batch_id;
     build->home_worker = worker_id;
     build->seed_base = submission.seed_base;
-    build->client_id = client.id;
     build->generation = submission.generation;
     if (client.config.logger != nullptr)
         build->trace_start = client.config.logger->now();
@@ -389,7 +446,8 @@ PreprocServer::decompose(ClientState &client, Submission submission,
            !client.peak_inflight.compare_exchange_weak(
                peak, inflight, std::memory_order_relaxed))
         ;
-    client.inflight_metric->set(inflight);
+    if (client.metrics.inflight != nullptr)
+        client.metrics.inflight->set(inflight);
     signal_.notifyWork();
 }
 
@@ -415,16 +473,14 @@ PreprocServer::executeTask(ClientState &client, SampleTask *task,
     // Canceled incarnation (epoch abort / disconnect): drain the task
     // as a no-op. The build still counts down so the last finisher
     // can release it and the in-flight budget.
-    if (client.disconnected.load(std::memory_order_acquire) ||
-        build.generation !=
-            client.generation.load(std::memory_order_acquire)) {
-        client.dropped_tasks.fetch_add(1, std::memory_order_relaxed);
-        total_dropped_.fetch_add(1, std::memory_order_relaxed);
+    if (canceled(client, build)) {
+        noteDropped(client, 1);
         if (build.remaining.fetch_sub(1, std::memory_order_acq_rel) == 1)
             finishBatch(client, build, worker_id, ctx);
         return;
     }
 
+    const TenantMetrics &metrics = client.metrics;
     ctx.logger = client.config.logger;
     ctx.batch_id = build.batch_id;
     ctx.sample_index = task->index;
@@ -433,29 +489,50 @@ PreprocServer::executeTask(ClientState &client, SampleTask *task,
     // tasks draws exactly what each tenant's solo loader would.
     rng = Rng(dataflow::sampleRngSeed(build.seed_base, task->index));
 
+    // A steal: this task belongs to a batch another worker decomposed.
+    if (worker_id != build.home_worker) {
+        if (!metrics.steals.empty())
+            metrics.steals[static_cast<std::size_t>(worker_id)]->add(1);
+        if (ctx.logger != nullptr) {
+            trace::TraceRecord record;
+            record.kind = trace::RecordKind::StealEvent;
+            record.batch_id = build.batch_id;
+            record.pid = ctx.pid;
+            record.start = ctx.logger->now();
+            record.op_name = strFormat("steal<-w%d", build.home_worker);
+            record.sample_index = task->index;
+            ctx.logger->log(std::move(record));
+        }
+    }
+
     trace::SpanTimer span(ctx.logger, trace::RecordKind::TaskSpan);
     span.record().op_name = "task";
     span.record().batch_id = build.batch_id;
     span.record().pid = ctx.pid;
     span.record().sample_index = task->index;
     const TimeNs fetch_start = SteadyClock::instance().now();
-    Result<pipeline::Sample> sample =
-        client.fetcher.getSample(task->index, ctx);
-    const TimeNs fetch_ns = SteadyClock::instance().now() - fetch_start;
+    Result<pipeline::Sample> sample = [&] {
+        dataflow::PmuSpanGuard pmu_span(metrics.pmu);
+        return client.fetcher.getSample(task->index, ctx);
+    }();
+    const TimeNs fetch_ns = std::max<TimeNs>(
+        SteadyClock::instance().now() - fetch_start, 0);
     span.finish();
     ctx.sample_index = -1;
 
     // Weighted-fair accounting charges measured service time, not
     // task count: a straggler-heavy tenant's vtime advances faster,
     // which is exactly what shields the light tenant's [T2] tail.
-    client.service_ns.fetch_add(
-        static_cast<std::uint64_t>(fetch_ns > 0 ? fetch_ns : 0),
-        std::memory_order_relaxed);
+    client.service_ns.fetch_add(static_cast<std::uint64_t>(fetch_ns),
+                                std::memory_order_relaxed);
     client.executed_tasks.fetch_add(1, std::memory_order_relaxed);
-    client.tasks_metric->add(1);
+    metrics.tasks->add(1);
+    if (!metrics.fetch_ns.empty())
+        metrics.fetch_ns[static_cast<std::size_t>(worker_id)]->record(
+            static_cast<std::uint64_t>(fetch_ns));
 
     switch (dataflow::resolveTask(task, std::move(sample), client.errors,
-                                  client.dataset->size(), ctx)) {
+                                  client.fetcher.dataset().size(), ctx)) {
       case TaskOutcome::kRequeue:
         {
             std::lock_guard lock(client.push_mutex);
@@ -476,11 +553,7 @@ PreprocServer::finishBatch(ClientState &client, BatchBuild &build,
                            int worker_id, pipeline::PipelineContext &ctx)
 {
     const auto n = static_cast<std::int64_t>(build.indices.size());
-    const bool canceled =
-        client.disconnected.load(std::memory_order_acquire) ||
-        build.generation !=
-            client.generation.load(std::memory_order_acquire);
-    if (!canceled) {
+    if (!canceled(client, build)) {
         BatchMsg msg;
         msg.client_id = client.id;
         msg.batch_id = build.batch_id;
@@ -504,6 +577,8 @@ PreprocServer::finishBatch(ClientState &client, BatchBuild &build,
             msg.batch = client.fetcher.collateBatch(
                 build.batch_id, std::move(build.samples), ctx);
         }
+        // [T1] for the whole build: decompose -> last slot + collate,
+        // in the finisher's lane.
         if (client.config.logger != nullptr) {
             trace::TraceRecord record;
             record.kind = trace::RecordKind::BatchPreprocessed;
@@ -514,18 +589,23 @@ PreprocServer::finishBatch(ClientState &client, BatchBuild &build,
                 client.config.logger->now() - build.trace_start;
             client.config.logger->log(std::move(record));
         }
+        if (build.start != 0 && client.metrics.batch_span_ns != nullptr)
+            client.metrics.batch_span_ns->record(static_cast<std::uint64_t>(
+                std::max<TimeNs>(SteadyClock::instance().now() - build.start,
+                                 0)));
         client.transport->send(std::move(msg));
         client.shipped_batches.fetch_add(1, std::memory_order_relaxed);
-        client.batches_metric->add(1);
-        client.queue_depth_metric->set(
-            static_cast<std::int64_t>(client.transport->depth()));
+        if (client.metrics.batches != nullptr)
+            client.metrics.batches->add(1);
+        client.metrics.queue_depth->add(1);
     }
 
     client.inflight_builds.fetch_sub(1, std::memory_order_acq_rel);
     const std::int64_t inflight =
         client.inflight_samples.fetch_sub(n, std::memory_order_acq_rel) -
         n;
-    client.inflight_metric->set(inflight);
+    if (client.metrics.inflight != nullptr)
+        client.metrics.inflight->set(inflight);
     {
         // Safe to free here: every slot resolved, so no worker owns a
         // task of this build, and thieves never dereference a pointer
@@ -544,12 +624,14 @@ void
 PreprocServer::workerLoop(int worker_id)
 {
     setCurrentThreadName(strFormat("preproc-%d", worker_id));
+    worker_tids_[static_cast<std::size_t>(worker_id)] = currentTid();
+    workers_started_.count_down();
     hwcount::ThreadCounterRegistry::instance().attachCurrentThread();
     // The rng object is only the storage ctx points at: executeTask
     // reseeds it per task from (build seed base, dataset index).
     Rng rng(0);
     pipeline::PipelineContext ctx;
-    ctx.pid = currentTid();
+    ctx.pid = worker_tids_[static_cast<std::size_t>(worker_id)];
     ctx.rng = &rng;
     for (;;) {
         // Snapshot the wake counter *before* scanning so a notify

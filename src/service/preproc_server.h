@@ -1,7 +1,9 @@
 /**
  * @file
  * Multi-tenant preprocessing service over the work-stealing substrate
- * (the tf.data-service direction, PAPERS.md arXiv:2101.12127).
+ * (the tf.data-service direction, PAPERS.md arXiv:2101.12127) — and
+ * the one per-sample execution engine: a Schedule::kWorkStealing
+ * DataLoader runs its epochs as the single tenant of a private fleet.
  *
  * One PreprocServer owns one worker fleet; N concurrent training
  * clients (LoaderClient, src/service/loader_client.h) each bring
@@ -30,6 +32,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <latch>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -119,43 +122,61 @@ struct ClientConfig
     trace::TraceLogger *logger = nullptr;
 };
 
-/** One not-yet-decomposed batch submission from a client. */
-struct Submission
+/**
+ * Where the fleet records one tenant's execution telemetry. connect()
+ * points the per-client handles at the lotus_service_* families; a
+ * DataLoader's private fleet points them at its lotus_loader_*
+ * families and fills the per-worker ones, so a solo loader exports
+ * loader series and no service series. Null handles and empty
+ * per-worker vectors are not recorded.
+ */
+struct TenantMetrics
 {
-    std::int64_t batch_id = -1;
-    std::vector<std::int64_t> indices;
-    /** epochSeedBase(seed, epoch) of the submitting epoch. */
-    std::uint64_t seed_base = 0;
-    /** Epoch incarnation; stale generations drain as no-ops. */
-    std::uint64_t generation = 0;
+    /** Task executions (retries and refills included). */
+    metrics::Counter *tasks = nullptr;
+    /** Built batches shipped. */
+    metrics::Counter *batches = nullptr;
+    /** Shipped-but-unreceived batches: +1 per send, -1 per receive. */
+    metrics::Gauge *queue_depth = nullptr;
+    /** Decomposed-but-unfinished samples. */
+    metrics::Gauge *inflight = nullptr;
+    /** [T2] wait, recorded client-side by LoaderClient::next(). */
+    metrics::Histogram *wait_ns = nullptr;
+    /** Decompose-to-ship span of every built batch. */
+    metrics::Histogram *batch_span_ns = nullptr;
+    /** Per fleet worker: fetch latency, and tasks it ran for a batch
+     *  another worker decomposed (steals). */
+    std::vector<metrics::Histogram *> fetch_ns;
+    std::vector<metrics::Counter *> steals;
+    /** Measured PMU deltas over fetch spans. */
+    dataflow::PmuCounters pmu;
 };
 
 /**
  * Server-side per-client state. Tasks live in one TaskDeque per
  * client that fleet workers consume exclusively through steal() (any
  * thread); pushes — decompose and retry/skip requeue — serialize on
- * push_mutex, whose holder plays the Chase–Lev owner role. pop() is
- * never called, so there is no owner thread to conflict with.
+ * push_mutex, whose holder plays the Chase–Lev owner role.
  */
 struct ClientState
 {
-    ClientState(std::int64_t client_id,
-                std::shared_ptr<const pipeline::Dataset> dataset_in,
-                std::shared_ptr<const pipeline::Collate> collate,
-                const ClientConfig &config_in)
-        : id(client_id), config(config_in), dataset(dataset_in),
-          fetcher(std::move(dataset_in), std::move(collate)),
+    ClientState(std::int64_t client_id, dataflow::Fetcher fetcher_in,
+                const ClientConfig &config_in, TenantMetrics metrics_in)
+        : id(client_id), config(config_in), fetcher(std::move(fetcher_in)),
           errors{config_in.error_policy, config_in.max_retries,
                  config_in.max_refill_attempts},
+          metrics(std::move(metrics_in)),
           transport(std::make_shared<QueueTransport>())
     {
     }
 
     const std::int64_t id;
     const ClientConfig config;
-    const std::shared_ptr<const pipeline::Dataset> dataset;
-    dataflow::Fetcher fetcher;
+    /** The tenant's fetch path (dataset, collate, and any cache or
+     *  read-ahead engine its owner attached). */
+    const dataflow::Fetcher fetcher;
     const dataflow::ErrorHandling errors;
+    const TenantMetrics metrics;
 
     dataflow::TaskDeque deque;
     /** Serializes owner-role deque pushes (decompose / requeue). */
@@ -181,12 +202,6 @@ struct ClientState
      *  (after the last slot resolves no task pointer survives). */
     std::mutex builds_mutex;
     std::vector<std::unique_ptr<dataflow::BatchBuild>> builds;
-
-    metrics::Counter *tasks_metric = nullptr;
-    metrics::Counter *batches_metric = nullptr;
-    metrics::Histogram *wait_ns_metric = nullptr;
-    metrics::Gauge *queue_depth_metric = nullptr;
-    metrics::Gauge *inflight_metric = nullptr;
 
     /** Virtual time: lower runs first. Relaxed reads — fairness is a
      *  scheduling heuristic, not a correctness edge. */
@@ -237,11 +252,12 @@ class PreprocServer
     PreprocServer &operator=(const PreprocServer &) = delete;
 
     /**
-     * Admit a new client. Refused (recoverable Error, counted in
-     * lotus_service_rejected_total) when max_clients are connected;
-     * invalid configs are fatal, like DataLoaderOptions validation.
-     * The returned handle disconnects on destruction and must not
-     * outlive the server.
+     * Admit a new client. Refused with a recoverable Error when the
+     * config is invalid (kInvalidArgument) or max_clients are
+     * connected (kRejected, counted in lotus_service_rejected_total);
+     * a refusal leaves every connected tenant untouched. The returned
+     * handle disconnects on destruction and must not outlive the
+     * server.
      */
     Result<std::shared_ptr<LoaderClient>>
     connect(std::shared_ptr<const pipeline::Dataset> dataset,
@@ -266,6 +282,21 @@ class PreprocServer
 
   private:
     friend class LoaderClient;
+    /** Runs Schedule::kWorkStealing epochs on a private fleet. */
+    friend class dataflow::DataLoader;
+
+    /**
+     * Admit the single tenant of a DataLoader's private fleet: no
+     * admission check, no lotus_service_* series (those register with
+     * the first connect()), and the caller's fetcher and telemetry.
+     */
+    std::shared_ptr<ClientState> connectLoader(dataflow::Fetcher fetcher,
+                                               const ClientConfig &config,
+                                               TenantMetrics metrics);
+
+    /** Fleet thread ids, in worker order; blocks until every worker
+     *  has started. */
+    std::vector<std::uint32_t> workerTids();
 
     void workerLoop(int worker_id);
     /** Steal one task from the min-vtime client with work; true when
@@ -291,6 +322,8 @@ class PreprocServer
      *  samples as dropped (canceled-epoch accounting stays complete
      *  whether or not decomposition got to a batch). */
     void drainPending(ClientState &client);
+    /** Count @p samples canceled before they ran. */
+    void noteDropped(ClientState &client, std::uint64_t samples);
 
     /** Client-side entry points (via LoaderClient). */
     void submit(ClientState &client, Submission submission);
@@ -299,7 +332,9 @@ class PreprocServer
     std::uint64_t beginEpoch(ClientState &client);
     void disconnect(const std::shared_ptr<ClientState> &client);
 
-    /** Live clients sorted by ascending vtime (id tie-break). */
+    /** Clients in victim order: disconnected first (their drain is
+     *  cheap), then ascending vtime, then id. Keys are read once per
+     *  client before sorting — workers move them concurrently. */
     std::vector<std::shared_ptr<ClientState>> clientsByVtime() const;
     /** Drop fully-drained disconnected clients from the roster. */
     void reapDisconnected();
@@ -315,7 +350,11 @@ class PreprocServer
     dataflow::WorkSignal signal_;
     std::atomic<bool> shutdown_{false};
     std::vector<std::thread> workers_;
+    /** Written by each worker before it counts down workers_started_. */
+    std::vector<std::uint32_t> worker_tids_;
+    std::latch workers_started_;
 
+    /** Registered by the first connect() (guarded by clients_mutex_). */
     metrics::Gauge *clients_metric_ = nullptr;
     metrics::Counter *rejected_metric_ = nullptr;
 };

@@ -1,6 +1,8 @@
 /**
  * @file
- * Batch transport between the PreprocServer and its clients.
+ * Batch transport between the PreprocServer and its clients, and the
+ * two messages they exchange: a client's Submission of batch indices
+ * and the server's BatchMsg with the built batch.
  *
  * The server ships every completed batch through a BatchTransport —
  * the one seam between "preprocessing fleet" and "training client".
@@ -17,12 +19,24 @@
 
 #include <cstdint>
 #include <optional>
+#include <vector>
 
 #include "common/mpmc_queue.h"
 #include "common/result.h"
 #include "pipeline/sample.h"
 
 namespace lotus::service {
+
+/** One not-yet-decomposed batch submission from a client. */
+struct Submission
+{
+    std::int64_t batch_id = -1;
+    std::vector<std::int64_t> indices;
+    /** epochSeedBase(seed, epoch) of the submitting epoch. */
+    std::uint64_t seed_base = 0;
+    /** Epoch incarnation; stale generations drain as no-ops. */
+    std::uint64_t generation = 0;
+};
 
 /**
  * One completed batch (or its failure) in flight to a client.

@@ -3,16 +3,20 @@
  * Multi-tenant preprocessing service suite: per-client bit-identity
  * against a solo DataLoader under every ErrorPolicy (the DESIGN.md
  * §15 determinism contract), multi-epoch replay, weighted fairness
- * under a synthetic noisy neighbor, admission control (client cap and
- * in-flight sample cap), mid-epoch disconnect draining without
- * stalling other tenants, and the reconfigure guard rail on adopted
- * loaders. Runs under TSan (tools/run_tsan.sh) and ASan/UBSan
- * (tools/run_sanitizers.sh).
+ * under a synthetic noisy neighbor, admission control (client cap,
+ * in-flight sample cap, and refusal of invalid tenant configs),
+ * mid-epoch disconnect draining without stalling other tenants, a
+ * tenant-churn stress case for the victim order, and the reconfigure
+ * guard rail on adopted loaders. Runs under TSan (tools/run_tsan.sh)
+ * and ASan/UBSan (tools/run_sanitizers.sh).
  */
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <set>
 #include <thread>
@@ -419,6 +423,113 @@ TEST(Service, AdmissionControlRefusesPastMaxClients)
     second.take().reset();
     auto fourth = server.connect(dataset, collate, {.batch_size = 2});
     EXPECT_TRUE(fourth.ok());
+}
+
+TEST(Service, InvalidTenantConfigIsRefusedWithoutDisturbingTenants)
+{
+    // Tenants share one process, so a bad ClientConfig must be
+    // refused like an admission decision, not abort: the live
+    // tenant's epoch runs on, bit-identical to its solo reference.
+    auto dataset = std::make_shared<ProbeDataset>(
+        48, [](std::int64_t) -> TimeNs { return 50 * kMicrosecond; });
+    auto collate = std::make_shared<pipeline::StackCollate>();
+    const ClientConfig config{.batch_size = 4, .shuffle = true, .seed = 31};
+    const auto expected =
+        soloEpochBytes(dataset, config, Schedule::kWorkStealing, 2);
+
+    PreprocServer server({.num_workers = 2});
+    auto tenant = server.connect(dataset, collate, config).take();
+    tenant->startEpoch();
+    std::vector<std::uint8_t> got;
+    auto first = tenant->next();
+    ASSERT_TRUE(first.has_value());
+    got = batchBytes(*first);
+
+    for (const double weight :
+         {0.0, -1.0, std::numeric_limits<double>::quiet_NaN(),
+          std::numeric_limits<double>::infinity()}) {
+        ClientConfig bad = config;
+        bad.weight = weight;
+        auto refused = server.connect(dataset, collate, bad);
+        ASSERT_FALSE(refused.ok()) << "weight " << weight;
+        EXPECT_EQ(refused.error().code, ErrorCode::kInvalidArgument);
+    }
+    ClientConfig bad_batch = config;
+    bad_batch.batch_size = 0;
+    EXPECT_FALSE(server.connect(dataset, collate, bad_batch).ok());
+    EXPECT_EQ(server.stats().live_clients, 1);
+
+    while (auto batch = tenant->next()) {
+        const auto chunk = batchBytes(*batch);
+        got.insert(got.end(), chunk.begin(), chunk.end());
+    }
+    EXPECT_EQ(got, expected);
+}
+
+TEST(Service, TenantChurnStressKeepsVictimOrderInBounds)
+{
+    // Workers order tenants by (disconnected, vtime) on every scan
+    // while other workers advance vtimes and tenants disconnect. With
+    // twelve tenants on heavy-tailed samples, constant connect/disconnect
+    // and many short epochs, a sort on those live keys reads outside
+    // the candidate buffer (ASan: heap-buffer-overflow).
+    workloads::HeavyTailCostConfig costs;
+    costs.median_cost = 10 * kMicrosecond;
+    costs.sigma = 1.0;
+    costs.straggler_fraction = 0.05;
+    costs.straggler_multiplier = 30.0;
+    costs.busy_fraction = 1.0;
+    auto dataset =
+        std::make_shared<workloads::HeavyTailCostDataset>(32, costs);
+    auto collate = std::make_shared<pipeline::StackCollate>();
+    PreprocServer server({.num_workers = 4, .max_clients = 16});
+
+    constexpr int kTenants = 12;
+    constexpr int kRounds = 40;
+    std::atomic<int> refused{0};
+    std::atomic<int> misordered{0};
+    std::vector<std::thread> tenants;
+    for (int t = 0; t < kTenants; ++t)
+        tenants.emplace_back([&, t] {
+            for (int round = 0; round < kRounds; ++round) {
+                const ClientConfig config{
+                    .batch_size = 2 + (t + round) % 3,
+                    .shuffle = true,
+                    .seed = static_cast<std::uint64_t>(t * 1000 + round),
+                    .weight = 1.0 + t % 3,
+                    .prefetch_batches = 1 + t % 3};
+                auto connected = server.connect(dataset, collate, config);
+                if (!connected.ok()) {
+                    ++refused;
+                    continue;
+                }
+                auto client = connected.take();
+                // One full short epoch, then one abandoned after two
+                // batches, so the disconnect cancels in-flight work.
+                for (int epoch = 0; epoch < 2; ++epoch) {
+                    client->startEpoch();
+                    const std::int64_t stop =
+                        epoch == 0 ? client->numBatches() : 2;
+                    for (std::int64_t id = 0; id < stop; ++id) {
+                        auto batch = client->next();
+                        if (!batch.has_value() || batch->batch_id != id)
+                            ++misordered;
+                    }
+                }
+            }
+        });
+    for (auto &tenant : tenants)
+        tenant.join();
+
+    EXPECT_EQ(refused.load(), 0);
+    EXPECT_EQ(misordered.load(), 0);
+    // Every abandoned tenant drains and is reaped.
+    const TimeNs deadline =
+        SteadyClock::instance().now() + 5'000 * kMillisecond;
+    while (!server.stats().clients.empty() &&
+           SteadyClock::instance().now() < deadline)
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    EXPECT_TRUE(server.stats().clients.empty());
 }
 
 TEST(Service, InflightSampleCapBoundsDecomposition)

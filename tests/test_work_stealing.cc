@@ -23,6 +23,7 @@
 #include "image/codec/codec.h"
 #include "image/synth.h"
 #include "metrics/metrics.h"
+#include "metrics/snapshot.h"
 #include "pipeline/collate.h"
 #include "pipeline/compose.h"
 #include "pipeline/faulty_store.h"
@@ -239,6 +240,75 @@ TEST(WorkStealing, StealTelemetryCountsTasksAndSteals)
     // Batch spans were recorded for every batch.
     EXPECT_EQ(registry.histogram("lotus_loader_batch_span_ns")->count(),
               4u);
+    registry.reset();
+}
+
+TEST(WorkStealing, SoloLoaderKeepsLoaderTelemetryOnItsPrivateFleet)
+{
+    // The loader runs on a private PreprocServer fleet, but it is
+    // still a solo loader to every dashboard: no lotus_service_*
+    // series, and workerPids() names the fleet's threads — the new
+    // fleet's after a reconfigure resizes it.
+    metrics::ScopedEnable enable;
+    auto &registry = metrics::MetricsRegistry::instance();
+    registry.reset();
+
+    trace::TraceLogger logger;
+    auto dataset = std::make_shared<ProbeDataset>(
+        32, [](std::int64_t) -> TimeNs { return 50 * kMicrosecond; });
+    DataLoader loader(dataset,
+                      std::make_shared<pipeline::StackCollate>(),
+                      wsOptions(4, 2, &logger));
+    while (loader.next().has_value()) {
+    }
+    EXPECT_EQ(loader.workerPids().size(), 2u);
+
+    LoaderReconfig wider = loader.currentConfig();
+    wider.num_workers = 4;
+    loader.reconfigure(wider);
+    const std::size_t first_epoch_records = logger.records().size();
+    loader.startEpoch();
+    while (loader.next().has_value()) {
+    }
+
+    const auto pids = loader.workerPids();
+    const std::set<std::uint32_t> fleet(pids.begin(), pids.end());
+    EXPECT_EQ(pids.size(), 4u);
+    EXPECT_EQ(fleet.size(), 4u);
+    EXPECT_EQ(fleet.count(0u), 0u);
+    const auto records = logger.records();
+    std::uint64_t second_epoch_tasks = 0;
+    for (std::size_t i = first_epoch_records; i < records.size(); ++i) {
+        if (records[i].kind != trace::RecordKind::TaskSpan)
+            continue;
+        ++second_epoch_tasks;
+        EXPECT_EQ(fleet.count(records[i].pid), 1u)
+            << "task ran outside workerPids()";
+    }
+    EXPECT_EQ(second_epoch_tasks, 32u);
+
+    // Nothing else in this binary touches the service, so any
+    // lotus_service_* series was registered by the loader's fleet.
+    const metrics::Snapshot snapshot = registry.snapshot();
+    auto serviceSeries = [](const auto &family) {
+        for (const auto &[name, value] : family) {
+            if (name.rfind("lotus_service_", 0) == 0)
+                return name;
+        }
+        return std::string();
+    };
+    EXPECT_EQ(serviceSeries(snapshot.counters), "");
+    EXPECT_EQ(serviceSeries(snapshot.gauges), "");
+    EXPECT_EQ(serviceSeries(snapshot.histograms), "");
+    EXPECT_EQ(registry.counter(kTasksMetric)->value(), 64u);
+    std::uint64_t fetches = 0;
+    for (int w = 0; w < 4; ++w)
+        fetches += registry
+                       .histogram(metrics::labeled("lotus_loader_fetch_ns",
+                                                   "worker",
+                                                   strFormat("%d", w)))
+                       ->count();
+    EXPECT_GE(fetches, 32u);
     registry.reset();
 }
 

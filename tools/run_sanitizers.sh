@@ -25,9 +25,12 @@ BUILD_DIR="${BUILD_DIR:-${REPO_ROOT}/build-asan}"
 # test_tuner exercises reconfigure(): worker teardown/respawn and the
 # build-then-swap read-ahead engine replacement between epochs.
 # test_service covers the multi-tenant service's build lifecycle:
-# canceled-epoch draining, disconnect reaping, and the reorder
-# buffer's message move-outs.
-ASAN_TESTS='test_cache|test_fault_injection|test_image_codec|test_dataflow|test_pipeline|test_hwcount|test_trace|test_remote_store|test_read_ahead|test_tuner|test_service$'
+# canceled-epoch draining, disconnect reaping, the reorder buffer's
+# message move-outs, and the tenant-churn stress case for the victim
+# order. test_work_stealing drives the same fleet as a solo loader's
+# private engine: per-epoch fleet start/teardown, mid-epoch
+# destruction, and error-aborted epochs.
+ASAN_TESTS='test_cache|test_fault_injection|test_image_codec|test_dataflow|test_pipeline|test_hwcount|test_trace|test_remote_store|test_read_ahead|test_tuner|test_work_stealing|test_service$'
 
 cmake -B "${BUILD_DIR}" -S "${REPO_ROOT}" \
     -DLOTUS_SANITIZE=address \
@@ -36,7 +39,7 @@ cmake --build "${BUILD_DIR}" -j "$(nproc)" \
     --target test_cache test_fault_injection test_image_codec \
              test_dataflow test_pipeline test_hwcount test_trace \
              test_remote_store test_read_ahead test_tuner \
-             test_service
+             test_service test_work_stealing
 
 ASAN_OPTIONS="${ASAN_OPTIONS:-halt_on_error=1:detect_leaks=1}" \
 UBSAN_OPTIONS="${UBSAN_OPTIONS:-halt_on_error=1:print_stacktrace=1}" \
