@@ -63,7 +63,7 @@ SampleCache::sampleBytes(const pipeline::Sample &sample)
 }
 
 SampleCache::Shard &
-SampleCache::shardFor(const CacheKey &key)
+SampleCache::shardFor(const CacheKey &key) const
 {
     return *shards_[key.hash() % shards_.size()];
 }
@@ -130,6 +130,18 @@ SampleCache::lookup(const CacheKey &key, pipeline::PipelineContext &ctx)
     misses_metric_->add(1);
     logEvent(ctx, "miss", key.sample_index);
     return std::nullopt;
+}
+
+bool
+SampleCache::contains(const CacheKey &key) const
+{
+    {
+        Shard &shard = shardFor(key);
+        std::lock_guard<std::mutex> lock(shard.mutex);
+        if (shard.index.count(key) != 0)
+            return true;
+    }
+    return disk_ != nullptr && disk_->contains(key.sample_index);
 }
 
 void

@@ -118,6 +118,14 @@ class SampleCache
                                            pipeline::PipelineContext &ctx);
 
     /**
+     * True when lookup(@p key) would find the sample in memory or,
+     * when materializing, on disk. A pure check: no CLOCK reference
+     * bit, no stats, no trace event. The answer can go stale at once
+     * (eviction, a corrupt spill), so it is a hint, never a promise.
+     */
+    bool contains(const CacheKey &key) const;
+
+    /**
      * Admit a prefix-stage sample, evicting CLOCK victims in its
      * shard until it fits; write-through spills to disk when
      * materialization is on. A sample larger than one shard's budget
@@ -155,7 +163,7 @@ class SampleCache
         std::int64_t bytes = 0;
     };
 
-    Shard &shardFor(const CacheKey &key);
+    Shard &shardFor(const CacheKey &key) const;
     /** Insert into the in-memory shard only (no disk write). */
     void insertMemory(const CacheKey &key, const pipeline::Sample &sample,
                       pipeline::PipelineContext &ctx);

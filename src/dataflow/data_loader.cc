@@ -288,8 +288,10 @@ DataLoader::startEpoch()
 
     if (read_ahead_ != nullptr) {
         // Arm the I/O threads with this epoch's reads in fetch order,
-        // each carrying its (batch, sample) trace correlation. This
-        // covers every fetch path — the synchronous loader included.
+        // each carrying its (batch, sample) trace correlation, and
+        // with the cache's residency check so they skip warm samples.
+        // This covers every fetch path — the synchronous loader
+        // included.
         std::vector<pipeline::BlobReadRequest> plan;
         for (std::size_t b = 0; b < batches_.size(); ++b) {
             for (const std::int64_t index : batches_[b]) {
@@ -300,7 +302,8 @@ DataLoader::startEpoch()
                 plan.push_back(request);
             }
         }
-        read_ahead_->startEpoch(std::move(plan), options_.logger);
+        read_ahead_->startEpoch(std::move(plan), options_.logger,
+                                fetcher_.residentCheck());
     }
 
     if (options_.num_workers == 0) {

@@ -105,6 +105,17 @@ Fetcher::setReadAhead(std::shared_ptr<ReadAhead> read_ahead)
     read_ahead_ = std::move(read_ahead);
 }
 
+ReadAhead::ResidentCheck
+Fetcher::residentCheck() const
+{
+    if (cache_ == nullptr || !split_.has_value())
+        return {};
+    return [cache = cache_, split = *split_](std::int64_t index) {
+        return cache->contains(cache::CacheKey{
+            split.dataset_id, split.prefix_fingerprint, index});
+    };
+}
+
 Result<pipeline::Sample>
 Fetcher::getSample(std::int64_t index, pipeline::PipelineContext &ctx) const
 {
@@ -127,7 +138,10 @@ Fetcher::getSample(std::int64_t index, pipeline::PipelineContext &ctx) const
         // Warm path: the deterministic prefix is already done; only
         // the random suffix runs, replaying the same rng stream a
         // full fetch would (the prefix draws nothing). No read-ahead
-        // claim — a warm hit must never wait on (or consume) I/O.
+        // claim — a warm hit must never wait on I/O — but its window
+        // slot, if the issuers got to it, goes back to them.
+        if (read_ahead_ != nullptr)
+            read_ahead_->release(index);
         dataset_->applySuffix(*hit, ctx);
         return std::move(*hit);
     }

@@ -160,10 +160,20 @@ class Fetcher
      * the dataset's readBlobOrStaged(); a claim miss reads
      * synchronously, so the engine is purely opportunistic. With a
      * decoded-sample cache attached, claims happen only on the
-     * cache-miss path — a warm hit never consumes (or waits for) a
-     * prefetched blob.
+     * cache-miss path; a warm hit never waits for a prefetched blob
+     * but release()s its index, freeing the window slot, and the
+     * issuers skip samples residentCheck() reports, so the window
+     * only ever holds reads a cache miss will claim.
      */
     void setReadAhead(std::shared_ptr<ReadAhead> read_ahead);
+
+    /**
+     * The check a read-ahead engine's issuers use to skip samples the
+     * attached cache already holds (SampleCache::contains); empty
+     * without a usable cache. Read when an epoch starts, so it holds
+     * whatever order setCache and setReadAhead ran in.
+     */
+    ReadAhead::ResidentCheck residentCheck() const;
 
     /**
      * Cache-aware single-sample read. On a warm hit the deterministic

@@ -241,6 +241,37 @@ TEST(SampleCache, ClockGivesReferencedEntriesASecondChance)
     EXPECT_EQ(cache.stats().evictions, 2u);
 }
 
+TEST(SampleCache, ContainsLeavesClockOrderAndStatsUntouched)
+{
+    const std::int64_t entry_bytes = static_cast<std::int64_t>(
+        SampleCache::sampleBytes(stampedSample(0)));
+    CacheConfig config;
+    config.shards = 1;
+    config.budget_bytes = 4 * entry_bytes;
+    SampleCache cache(config);
+    PipelineContext ctx;
+
+    // Same setup as the second-chance case: keys 1-3 unreferenced,
+    // the hand on key 1.
+    for (std::int64_t i = 0; i <= 4; ++i)
+        cache.insert(keyFor(i), stampedSample(i), ctx);
+    const SampleCache::Stats before = cache.stats();
+
+    EXPECT_TRUE(cache.contains(keyFor(1)));
+    EXPECT_FALSE(cache.contains(keyFor(0))); // the evicted one
+    const SampleCache::Stats after = cache.stats();
+    EXPECT_EQ(after.hits, before.hits);
+    EXPECT_EQ(after.misses, before.misses);
+    EXPECT_EQ(after.evictions, before.evictions);
+    EXPECT_EQ(after.bytes, before.bytes);
+
+    // contains() gave key 1 no second chance: the next overflow
+    // evicts it, where a lookup() would have spared it.
+    cache.insert(keyFor(5), stampedSample(5), ctx);
+    EXPECT_FALSE(cache.contains(keyFor(1)));
+    EXPECT_TRUE(cache.contains(keyFor(2)));
+}
+
 TEST(SampleCache, RejectsEntriesLargerThanAShard)
 {
     CacheConfig config;
@@ -435,6 +466,26 @@ TEST(Materialize, DirectoryClaimReleasesOnDestruction)
     // ...but a concurrent second claim is a fatal config error.
     EXPECT_EXIT(MaterializeStore(dir.path(), 1),
                 ::testing::ExitedWithCode(1), "already in use");
+}
+
+TEST(SampleCache, ContainsAnswersFromDiskWhenMaterializing)
+{
+    TempDir dir("lotus_cache_contains");
+    CacheConfig config;
+    config.shards = 1;
+    config.budget_bytes = static_cast<std::int64_t>(
+        SampleCache::sampleBytes(stampedSample(0))); // one entry
+    config.materialize_dir = dir.path();
+    SampleCache cache(config);
+    PipelineContext ctx;
+
+    cache.insert(keyFor(0), stampedSample(0), ctx);
+    cache.insert(keyFor(1), stampedSample(1), ctx); // evicts 0 in memory
+    const SampleCache::Stats before = cache.stats();
+    EXPECT_TRUE(cache.contains(keyFor(0))); // spilled
+    EXPECT_FALSE(cache.contains(keyFor(2)));
+    EXPECT_EQ(cache.stats().disk_hits, before.disk_hits);
+    EXPECT_EQ(cache.stats().misses, before.misses);
 }
 
 // --- Loader end-to-end ------------------------------------------------

@@ -2,14 +2,17 @@
  * @file
  * Read-ahead suite: the engine's window semantics (hits serve
  * prefetched bytes, misses fall back, depth bounds outstanding work,
- * cancel wakes blocked claims), loader integration across all three
- * fetch paths with bit-identical batches (cold and cache-warm),
- * ErrorPolicy composition over FaultyStore(RemoteStore), off-thread
- * IoEvent correlation, and option validation.
+ * cancel wakes blocked claims, one contiguous run per store call,
+ * release and resident skips free slots), loader integration across
+ * all three fetch paths with bit-identical batches (cold, cache-warm
+ * and a churning half-budget cache), ErrorPolicy composition over
+ * FaultyStore(RemoteStore), off-thread IoEvent correlation, and
+ * option validation.
  */
 
 #include <gtest/gtest.h>
 
+#include <mutex>
 #include <set>
 #include <string>
 #include <thread>
@@ -284,16 +287,230 @@ TEST(ReadAhead, ValidatesOptionsFatally)
                 ::testing::ExitedWithCode(1), "io_threads");
 }
 
+/** Forwards to an InMemoryStore and records every tryReadMany call's
+ *  requested indices, in request order. */
+class CountingStore : public pipeline::BlobStore
+{
+  public:
+    explicit CountingStore(std::shared_ptr<const InMemoryStore> inner)
+        : inner_(std::move(inner))
+    {
+    }
+
+    std::int64_t size() const override { return inner_->size(); }
+    std::string read(std::int64_t index) const override
+    {
+        return inner_->read(index);
+    }
+    std::uint64_t blobSize(std::int64_t index) const override
+    {
+        return inner_->blobSize(index);
+    }
+    std::vector<Result<std::string>>
+    tryReadMany(const std::vector<BlobReadRequest> &requests) const override
+    {
+        std::vector<std::int64_t> indices;
+        for (const BlobReadRequest &request : requests)
+            indices.push_back(request.index);
+        {
+            std::lock_guard<std::mutex> lock(mutex_);
+            calls_.push_back(std::move(indices));
+        }
+        return inner_->tryReadMany(requests);
+    }
+
+    std::vector<std::vector<std::int64_t>> calls() const
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        return calls_;
+    }
+
+  private:
+    std::shared_ptr<const InMemoryStore> inner_;
+    mutable std::mutex mutex_;
+    mutable std::vector<std::vector<std::int64_t>> calls_;
+};
+
+std::vector<BlobReadRequest>
+planOf(const std::vector<std::int64_t> &indices)
+{
+    std::vector<BlobReadRequest> plan;
+    for (const std::int64_t index : indices) {
+        BlobReadRequest request;
+        request.index = index;
+        request.sample_index = index;
+        plan.push_back(request);
+    }
+    return plan;
+}
+
+TEST(ReadAhead, EachStoreCallCarriesOneContiguousRun)
+{
+    // depth >= plan size and no claims: one issuer walks the whole
+    // plan without waiting, so the chunking is deterministic.
+    const auto issue = [](const std::vector<std::int64_t> &indices) {
+        CountingStore store(makePlainStore(24));
+        ReadAheadOptions options;
+        options.depth = 24;
+        options.io_threads = 1;
+        options.io_batch = 4;
+        ReadAhead engine(&store, options);
+        engine.startEpoch(planOf(indices), nullptr);
+        const auto requested = [&store] {
+            std::size_t count = 0;
+            for (const auto &call : store.calls())
+                count += call.size();
+            return count;
+        };
+        for (int i = 0; i < 500 && requested() < indices.size(); ++i)
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        for (const std::int64_t index : indices) {
+            auto blob = engine.claim(index);
+            EXPECT_TRUE(blob.has_value()) << "index " << index;
+        }
+        return store.calls();
+    };
+    using Calls = std::vector<std::vector<std::int64_t>>;
+
+    // Shuffled: a chunk ends at the first non-adjacent index, and a
+    // run longer than io_batch still splits at the cap.
+    EXPECT_EQ(issue({5, 6, 7, 2, 9, 10, 0, 1, 3, 12, 13, 14, 15, 16, 4, 8,
+                     11}),
+              (Calls{{5, 6, 7},
+                     {2},
+                     {9, 10},
+                     {0, 1},
+                     {3},
+                     {12, 13, 14, 15},
+                     {16},
+                     {4},
+                     {8},
+                     {11}}));
+    // Sequential: io_batch-sized calls, exactly as before the rule.
+    EXPECT_EQ(issue({0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11}),
+              (Calls{{0, 1, 2, 3}, {4, 5, 6, 7}, {8, 9, 10, 11}}));
+}
+
+TEST(ReadAhead, ReleasingAParkedEntryFreesItsSlot)
+{
+    metrics::ScopedEnable enable;
+    auto &registry = metrics::MetricsRegistry::instance();
+    registry.reset();
+
+    auto store = makePlainStore(4);
+    ReadAheadOptions options;
+    options.depth = 4;
+    options.io_threads = 1;
+    ReadAhead engine(store.get(), options);
+    engine.startEpoch(sequentialPlan(4), nullptr);
+    auto *in_flight = registry.gauge(dataflow::kReadAheadInFlightMetric);
+    for (int i = 0; i < 500 && in_flight->value() < 4; ++i)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    ASSERT_EQ(in_flight->value(), 4);
+
+    engine.release(1);
+    EXPECT_EQ(in_flight->value(), 3);
+    EXPECT_EQ(registry.counter(dataflow::kReadAheadSkippedMetric)->value(),
+              1u);
+    EXPECT_FALSE(engine.claim(1).has_value());
+    EXPECT_TRUE(engine.claim(2).has_value());
+    // A second release finds no entry and changes nothing.
+    engine.release(3);
+    engine.release(3);
+    EXPECT_EQ(registry.counter(dataflow::kReadAheadSkippedMetric)->value(),
+              2u);
+    EXPECT_EQ(in_flight->value(), 1);
+    registry.reset();
+}
+
+TEST(ReadAhead, ReleasingAnInFlightEntryFreesItsSlotWithoutBlocking)
+{
+    metrics::ScopedEnable enable;
+    auto &registry = metrics::MetricsRegistry::instance();
+    registry.reset();
+
+    auto inner = makePlainStore(8);
+    RemoteStoreOptions remote_options;
+    remote_options.rtt = 100 * kMillisecond;
+    remote_options.bytes_per_ns = 0.0;
+    RemoteStore remote(inner, remote_options);
+    ReadAheadOptions options;
+    options.depth = 1; // index 5 can only be issued once 0 leaves
+    options.io_threads = 2;
+    ReadAhead engine(&remote, options);
+    engine.startEpoch(planOf({0, 5}), nullptr);
+
+    auto *in_flight = registry.gauge(dataflow::kReadAheadInFlightMetric);
+    for (int i = 0; i < 500 && in_flight->value() == 0; ++i)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    ASSERT_EQ(in_flight->value(), 1);
+
+    // Index 0's round trip is still pending: release must not wait
+    // for it, and the freed slot goes to index 5 on the other issuer.
+    const TimeNs released_at = SteadyClock::instance().now();
+    engine.release(0);
+    EXPECT_LT(SteadyClock::instance().now() - released_at,
+              50 * kMillisecond);
+    EXPECT_FALSE(engine.claim(0).has_value());
+    for (int i = 0; i < 500 && in_flight->value() == 0; ++i)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    ASSERT_EQ(in_flight->value(), 1);
+    auto blob = engine.claim(5);
+    ASSERT_TRUE(blob.has_value());
+    EXPECT_EQ(blob->value(), inner->read(5));
+    // Index 0's late completion is discarded, not parked.
+    for (int i = 0; i < 500 && registry.counter(
+                                   dataflow::kReadAheadIssuedMetric)
+                                       ->value() < 2;
+         ++i)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    EXPECT_EQ(registry.counter(dataflow::kReadAheadIssuedMetric)->value(),
+              2u);
+    EXPECT_EQ(in_flight->value(), 0);
+    registry.reset();
+}
+
+TEST(ReadAhead, IssuersSkipResidentIndices)
+{
+    metrics::ScopedEnable enable;
+    auto &registry = metrics::MetricsRegistry::instance();
+    registry.reset();
+
+    CountingStore store(makePlainStore(16));
+    ReadAheadOptions options;
+    options.depth = 16;
+    options.io_threads = 1;
+    ReadAhead engine(&store, options);
+    engine.startEpoch(sequentialPlan(16), nullptr,
+                      [](std::int64_t index) { return index % 4 == 1; });
+    for (int i = 0; i < 500 && registry.counter(
+                                   dataflow::kReadAheadIssuedMetric)
+                                       ->value() < 12;
+         ++i)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    EXPECT_EQ(registry.counter(dataflow::kReadAheadIssuedMetric)->value(),
+              12u);
+    EXPECT_EQ(registry.counter(dataflow::kReadAheadSkippedMetric)->value(),
+              4u);
+    // A skipped index breaks the run: 0 | 2 3 4 | 6 7 8 | ...
+    for (const auto &call : store.calls())
+        for (const std::int64_t index : call)
+            EXPECT_NE(index % 4, 1) << "resident index issued";
+    EXPECT_FALSE(engine.claim(5).has_value());
+    EXPECT_TRUE(engine.claim(6).has_value());
+    registry.reset();
+}
+
 // --- Loader integration ----------------------------------------------
 
 std::shared_ptr<InMemoryStore>
-makeEncodedStore(int count)
+makeEncodedStore(int count, int side = 16)
 {
     auto store = std::make_shared<InMemoryStore>();
     Rng rng(55);
     for (int i = 0; i < count; ++i)
         store->add(
-            image::codec::encode(image::synthesize(rng, 16, 16)));
+            image::codec::encode(image::synthesize(rng, side, side)));
     return store;
 }
 
@@ -313,30 +530,42 @@ makeDataset(std::shared_ptr<const pipeline::BlobStore> store)
         /*num_classes=*/1 << 20);
 }
 
-/** Two epochs of payload bytes + labels (cold, then cache-warm when
- *  the options enable a cache). */
+/** Run one epoch of @p loader: its payload bytes + labels. */
+std::vector<std::uint8_t>
+epochBytes(DataLoader &loader)
+{
+    loader.startEpoch();
+    std::vector<std::uint8_t> bytes;
+    while (auto batch = loader.next()) {
+        const std::uint8_t *raw = batch->data.raw();
+        bytes.insert(bytes.end(), raw, raw + batch->data.byteSize());
+        for (const std::int64_t label : batch->labels) {
+            const auto *p = reinterpret_cast<const std::uint8_t *>(&label);
+            bytes.insert(bytes.end(), p, p + sizeof(label));
+        }
+    }
+    return bytes;
+}
+
+/** Epochs of payload bytes + labels (cold, then cache-warm when the
+ *  options enable a cache). */
+std::vector<std::vector<std::uint8_t>>
+epochsBytes(const std::shared_ptr<pipeline::Dataset> &dataset,
+            DataLoaderOptions options, int epochs = 2)
+{
+    DataLoader loader(dataset,
+                      std::make_shared<pipeline::StackCollate>(), options);
+    std::vector<std::vector<std::uint8_t>> out;
+    for (int epoch = 0; epoch < epochs; ++epoch)
+        out.push_back(epochBytes(loader));
+    return out;
+}
+
 std::vector<std::vector<std::uint8_t>>
 twoEpochBytes(const std::shared_ptr<pipeline::Dataset> &dataset,
               DataLoaderOptions options)
 {
-    DataLoader loader(dataset,
-                      std::make_shared<pipeline::StackCollate>(), options);
-    std::vector<std::vector<std::uint8_t>> epochs;
-    for (int epoch = 0; epoch < 2; ++epoch) {
-        loader.startEpoch();
-        std::vector<std::uint8_t> bytes;
-        while (auto batch = loader.next()) {
-            const std::uint8_t *raw = batch->data.raw();
-            bytes.insert(bytes.end(), raw, raw + batch->data.byteSize());
-            for (const std::int64_t label : batch->labels) {
-                const auto *p =
-                    reinterpret_cast<const std::uint8_t *>(&label);
-                bytes.insert(bytes.end(), p, p + sizeof(label));
-            }
-        }
-        epochs.push_back(std::move(bytes));
-    }
-    return epochs;
+    return epochsBytes(dataset, std::move(options));
 }
 
 TEST(ReadAheadLoader, BitIdenticalAcrossPathsColdAndCacheWarm)
@@ -379,6 +608,136 @@ TEST(ReadAheadLoader, BitIdenticalAcrossPathsColdAndCacheWarm)
         EXPECT_EQ(twoEpochBytes(dataset, options), expected)
             << path.name;
     }
+}
+
+/** Read-ahead counters and store round trips one epoch moved. */
+struct EpochIo
+{
+    std::int64_t issued = 0;
+    std::int64_t hits = 0;
+    std::int64_t misses = 0;
+    std::int64_t round_trips = 0;
+};
+
+EpochIo
+readIo(const RemoteStore &remote)
+{
+    auto &registry = metrics::MetricsRegistry::instance();
+    const auto value = [&](const char *name) {
+        return static_cast<std::int64_t>(registry.counter(name)->value());
+    };
+    return EpochIo{value(dataflow::kReadAheadIssuedMetric),
+                   value(dataflow::kReadAheadHitsMetric),
+                   value(dataflow::kReadAheadMissesMetric),
+                   static_cast<std::int64_t>(remote.roundTrips())};
+}
+
+EpochIo
+operator-(const EpochIo &after, const EpochIo &before)
+{
+    return EpochIo{after.issued - before.issued, after.hits - before.hits,
+                   after.misses - before.misses,
+                   after.round_trips - before.round_trips};
+}
+
+TEST(ReadAheadLoader, HalfBudgetCacheKeepsWindowFlowing)
+{
+    // A cache holding about half the decoded set over reshuffled
+    // epochs: every epoch mixes warm hits with misses. Cache hits must
+    // neither strand window slots nor stall the issuers, so the
+    // misses still find their blobs prefetched.
+    metrics::ScopedEnable enable;
+    auto &registry = metrics::MetricsRegistry::instance();
+    registry.reset();
+
+    constexpr int kSamples = 96;
+    constexpr int kSide = 48;
+    constexpr int kEpochs = 4;
+    RemoteStoreOptions remote_options;
+    remote_options.rtt = 200 * kMicrosecond;
+    remote_options.bytes_per_ns = 0.0;
+    auto remote = std::make_shared<RemoteStore>(
+        makeEncodedStore(kSamples, kSide), remote_options);
+    auto dataset = makeDataset(remote);
+
+    DataLoaderOptions reference;
+    reference.batch_size = 4;
+    reference.num_workers = 0;
+    reference.shuffle = true;
+    reference.seed = 91;
+    const auto expected = epochsBytes(dataset, reference, kEpochs);
+
+    for (const Schedule schedule :
+         {Schedule::kRoundRobin, Schedule::kWorkStealing}) {
+        SCOPED_TRACE(schedule == Schedule::kRoundRobin ? "round-robin"
+                                                       : "work-stealing");
+        DataLoaderOptions options = reference;
+        options.num_workers = 2;
+        options.schedule = schedule;
+        options.cache_policy = dataflow::CachePolicy::kMemory;
+        options.cache_budget_bytes = kSamples * kSide * kSide * 3 / 2;
+        options.cache_shards = 2;
+        options.read_ahead_depth = 16;
+        options.io_threads = 4;
+        DataLoader loader(dataset,
+                          std::make_shared<pipeline::StackCollate>(),
+                          options);
+        for (int epoch = 0; epoch < kEpochs; ++epoch) {
+            SCOPED_TRACE(strFormat("epoch %d", epoch));
+            const EpochIo before = readIo(*remote);
+            EXPECT_EQ(epochBytes(loader), expected[epoch]);
+            const EpochIo io = readIo(*remote) - before;
+            const std::int64_t claims = io.hits + io.misses;
+            // (a) Issued reads nobody claimed stay within the window.
+            EXPECT_LE(io.issued - io.hits, options.read_ahead_depth);
+            // (b) The window kept issuing for every cache miss.
+            EXPECT_GE(io.issued, claims - options.read_ahead_depth);
+            if (epoch > 0) {
+                EXPECT_GT(loader.cache()->stats().hits, 0u);
+            }
+        }
+    }
+    registry.reset();
+}
+
+TEST(ReadAheadLoader, WarmEpochIssuesNoReads)
+{
+    metrics::ScopedEnable enable;
+    auto &registry = metrics::MetricsRegistry::instance();
+    registry.reset();
+
+    RemoteStoreOptions remote_options;
+    remote_options.rtt = 200 * kMicrosecond;
+    remote_options.bytes_per_ns = 0.0;
+    auto remote =
+        std::make_shared<RemoteStore>(makeEncodedStore(48), remote_options);
+    auto dataset = makeDataset(remote);
+
+    for (const Schedule schedule :
+         {Schedule::kRoundRobin, Schedule::kWorkStealing}) {
+        SCOPED_TRACE(schedule == Schedule::kRoundRobin ? "round-robin"
+                                                       : "work-stealing");
+        DataLoaderOptions options;
+        options.batch_size = 4;
+        options.num_workers = 2;
+        options.schedule = schedule;
+        options.shuffle = true;
+        options.cache_policy = dataflow::CachePolicy::kMemory;
+        options.cache_budget_bytes = 64 << 20; // holds every sample
+        options.read_ahead_depth = 8;
+        options.io_threads = 2;
+        DataLoader loader(dataset,
+                          std::make_shared<pipeline::StackCollate>(),
+                          options);
+        epochBytes(loader); // cold: fills the cache
+        const EpochIo before = readIo(*remote);
+        epochBytes(loader);
+        const EpochIo io = readIo(*remote) - before;
+        EXPECT_EQ(io.issued, 0);
+        EXPECT_EQ(io.round_trips, 0);
+        EXPECT_EQ(io.hits + io.misses, 0); // nothing even claimed
+    }
+    registry.reset();
 }
 
 TEST(ReadAheadLoader, HitsDominateASequentialEpoch)

@@ -220,9 +220,10 @@ render(const JsonValue &document, const std::string &source)
 
     // Read-ahead headline: how much of the epoch's store I/O the
     // prefetch window absorbed (hits) vs claims that outran the
-    // issuers and fell back to synchronous reads (misses), plus the
-    // live window occupancy against its configured depth. All zeros
-    // when read_ahead_depth is off.
+    // issuers and fell back to synchronous reads (misses), the reads
+    // the sample cache made unnecessary (skipped: "cache covered it",
+    // not "window missed"), plus the live window occupancy against
+    // its configured depth. All zeros when read_ahead_depth is off.
     const double ra_hits =
         counters != nullptr
             ? numberField(*counters, dataflow::kReadAheadHitsMetric)
@@ -233,9 +234,13 @@ render(const JsonValue &document, const std::string &source)
             : 0.0;
     const double ra_claims = ra_hits + ra_misses;
     std::printf("  read-ahead hit %.1f%%  (%.0f hits / %.0f misses)   "
-                "window %.0f/%.0f   issued %.0f (%.1f/s)\n",
+                "skipped %.0f   window %.0f/%.0f   issued %.0f (%.1f/s)\n",
                 ra_claims > 0 ? ra_hits / ra_claims * 100.0 : 0.0,
                 ra_hits, ra_misses,
+                counters != nullptr
+                    ? numberField(*counters,
+                                  dataflow::kReadAheadSkippedMetric)
+                    : 0.0,
                 gauges != nullptr
                     ? numberField(*gauges,
                                   dataflow::kReadAheadInFlightMetric)

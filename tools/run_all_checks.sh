@@ -7,8 +7,8 @@
 #   1. tier-1: default build (build/) + full ctest suite
 #   2. TSan:   tools/run_tsan.sh        (build-tsan/, concurrency suites)
 #   3. ASan:   tools/run_sanitizers.sh  (build-asan/, +UBSan, memory suites)
-#   4. a check that the service's tenant-churn stress case ran in
-#      all three tiers above
+#   4. a check that the regression cases below ran in all three
+#      tiers above
 #
 #   tools/run_all_checks.sh              # all three tiers
 #   BUILD_DIR=out tools/run_all_checks.sh  # relocate the tier-1 build only
@@ -40,16 +40,29 @@ run_tier() {
     NAMES+=("${name}")
 }
 
-# The tenant-churn stress case is the regression test for the fleet's
-# victim-order heap overflow, which only the sanitizers see reliably,
-# so it must run in every tier: the tier's ctest log shows test_service
-# passing, and the tier's test_service binary contains the case.
-STRESS_CASE='TenantChurnStressKeepsVictimOrderInBounds'
-stress_case_ran() {
-    local log="$1" dir="$2"
-    grep -Eq 'test_service \.+ +Passed' "${log}" &&
-        "${dir}/tests/test_service" --gtest_list_tests |
-        grep -q "${STRESS_CASE}"
+# Cases that must run in every tier, as "<test binary> <case>": the
+# tenant-churn stress case is the regression test for the fleet's
+# victim-order heap overflow, which only the sanitizers see reliably;
+# the half-budget-cache read-ahead case drives the engine-to-cache
+# residency check (I/O threads taking cache shard locks) against
+# cache hits releasing window slots, a lock path TSan and ASan must
+# both cover. A case ran when the tier's ctest log shows its binary
+# passing and the tier's binary lists the case.
+REQUIRED_CASES=(
+    'test_service TenantChurnStressKeepsVictimOrderInBounds'
+    'test_read_ahead HalfBudgetCacheKeepsWindowFlowing'
+)
+required_cases_ran() {
+    local log="$1" dir="$2" entry binary name
+    for entry in "${REQUIRED_CASES[@]}"; do
+        read -r binary name <<<"${entry}"
+        grep -Eq "${binary} \.+ +Passed" "${log}" &&
+            "${dir}/tests/${binary}" --gtest_list_tests |
+            grep -q "${name}" || {
+            echo "${name} (${binary}) did not run in ${dir}"
+            return 1
+        }
+    done
 }
 
 tier1() {
@@ -63,16 +76,16 @@ run_tier "TSan" env BUILD_DIR="${REPO_ROOT}/build-tsan" \
     "${REPO_ROOT}/tools/run_tsan.sh"
 run_tier "ASan/UBSan" env BUILD_DIR="${REPO_ROOT}/build-asan" \
     "${REPO_ROOT}/tools/run_sanitizers.sh"
-run_tier "stress case in all tiers" eval \
-    'stress_case_ran "${LOG_DIR}/0.log" "${BUILD_DIR}" &&
-     stress_case_ran "${LOG_DIR}/1.log" "${REPO_ROOT}/build-tsan" &&
-     stress_case_ran "${LOG_DIR}/2.log" "${REPO_ROOT}/build-asan"'
+run_tier "required cases in all tiers" eval \
+    'required_cases_ran "${LOG_DIR}/0.log" "${BUILD_DIR}" &&
+     required_cases_ran "${LOG_DIR}/1.log" "${REPO_ROOT}/build-tsan" &&
+     required_cases_ran "${LOG_DIR}/2.log" "${REPO_ROOT}/build-asan"'
 
 echo
 echo "==== summary ===="
 status=0
 for i in "${!NAMES[@]}"; do
-    printf '  %-24s %s\n' "${NAMES[$i]}" "${RESULTS[$i]}"
+    printf '  %-28s %s\n' "${NAMES[$i]}" "${RESULTS[$i]}"
     [[ "${RESULTS[$i]}" == "PASS" ]] || status=1
 done
 exit "${status}"
