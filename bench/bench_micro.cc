@@ -42,6 +42,7 @@
 #include "simd/dispatch.h"
 #include "tensor/ops.h"
 #include "trace/logger.h"
+#include "trace/span.h"
 
 namespace {
 
@@ -192,18 +193,33 @@ BM_MetricsHistogramEnabled(benchmark::State &state)
 BENCHMARK(BM_MetricsHistogramEnabled);
 
 void
-BM_MetricsScopedTimerEnabled(benchmark::State &state)
+BM_SpanHistogramEnabled(benchmark::State &state)
 {
     metrics::ScopedEnable enable;
     metrics::MetricsRegistry registry;
     auto *hist = registry.histogram("bench_span_ns");
     for (auto _ : state) {
-        metrics::ScopedTimer timer(hist);
+        trace::Span span({.histogram = hist});
         benchmark::DoNotOptimize(hist);
     }
     state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_MetricsScopedTimerEnabled);
+BENCHMARK(BM_SpanHistogramEnabled);
+
+/** The cost every instrumented edge pays with every sink off. */
+void
+BM_SpanAllSinksOff(benchmark::State &state)
+{
+    metrics::MetricsRegistry registry;
+    auto *hist = registry.histogram("bench_span_ns");
+    const std::string name = "RandomResizedCrop";
+    for (auto _ : state) {
+        trace::Span span({.op_name = name, .histogram = hist});
+        benchmark::DoNotOptimize(hist);
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_SpanAllSinksOff);
 
 void
 BM_DesEventLoop(benchmark::State &state)

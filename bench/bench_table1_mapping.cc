@@ -21,6 +21,7 @@
 #include "image/resample.h"
 #include "image/synth.h"
 #include "tensor/ops.h"
+#include "trace/span.h"
 
 namespace lotus {
 namespace {
@@ -113,7 +114,7 @@ main()
     registry.reset();
     registry.setGroundTruthEnabled(true);
     for (const auto &op : ops) {
-        hwcount::OpTagScope scope(registry.registerOp(op.name));
+        trace::Span scope({.op = registry.registerOp(op.name)});
         op.body();
     }
     const auto snapshot = registry.snapshot();

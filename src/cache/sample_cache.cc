@@ -1,6 +1,5 @@
 #include "cache/sample_cache.h"
 
-#include "common/clock.h"
 #include "trace/logger.h"
 
 namespace lotus::cache {
@@ -74,15 +73,10 @@ SampleCache::logEvent(pipeline::PipelineContext &ctx, const char *what,
 {
     if (ctx.logger == nullptr)
         return;
-    trace::TraceRecord record;
-    record.kind = trace::RecordKind::CacheEvent;
-    record.batch_id = ctx.batch_id;
-    record.pid = ctx.pid;
-    record.start = SteadyClock::instance().now();
-    record.duration = 0;
-    record.op_name = std::string("cache:") + what;
-    record.sample_index = sample_index;
-    ctx.logger->log(std::move(record));
+    ctx.logger->instant({.kind = trace::RecordKind::CacheEvent,
+                         .batch_id = ctx.batch_id, .pid = ctx.pid,
+                         .op_name = std::string("cache:") + what,
+                         .sample_index = sample_index});
 }
 
 std::optional<pipeline::Sample>

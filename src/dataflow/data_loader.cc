@@ -1,6 +1,5 @@
 #include "dataflow/data_loader.h"
 
-#include <chrono>
 #include <limits>
 
 #include "common/strings.h"
@@ -306,6 +305,7 @@ DataLoader::startEpoch()
                                 fetcher_.residentCheck());
     }
 
+    index_queues_.clear();
     if (options_.num_workers == 0) {
         // Synchronous mode: no queues or workers; fetches reseed per
         // sample from epoch_seed_base_, so this object only provides
@@ -314,20 +314,7 @@ DataLoader::startEpoch()
         // The main thread does the fetching, so it carries the
         // counter group (no-op unless PMU attribution is enabled).
         hwcount::ThreadCounterRegistry::instance().attachCurrentThread();
-        if (options_.logger) {
-            trace::TraceRecord marker;
-            marker.kind = trace::RecordKind::EpochBoundary;
-            marker.pid = main_pid_;
-            marker.start = options_.logger->now();
-            marker.op_name = "epoch_start";
-            options_.logger->log(std::move(marker));
-        }
-        epoch_started_ = true;
-        return;
-    }
-
-    index_queues_.clear();
-    if (options_.schedule == Schedule::kWorkStealing) {
+    } else if (options_.schedule == Schedule::kWorkStealing) {
         startFleet();
     } else {
         data_queue_ = std::make_shared<service::QueueTransport>();
@@ -355,24 +342,21 @@ DataLoader::startEpoch()
     }
 
     // Prime every worker's index queue with prefetch_factor batches,
-    // round-robin across workers (paper §II-B). Rounds are capped at
-    // numBatches(): beyond that every tryPutIndex is a no-op, and an
-    // uncapped loop with a huge (valid) prefetch_factor would spin
-    // here for prefetch_factor x num_workers iterations.
+    // round-robin across workers (paper §II-B; nothing to prime in
+    // synchronous mode). Rounds are capped at numBatches(): beyond
+    // that every tryPutIndex is a no-op, and an uncapped loop with a
+    // huge (valid) prefetch_factor would spin here for
+    // prefetch_factor x num_workers iterations.
     const std::int64_t rounds = std::min<std::int64_t>(
         options_.prefetch_factor, numBatches());
     for (std::int64_t round = 0; round < rounds; ++round) {
         for (int w = 0; w < options_.num_workers; ++w)
             tryPutIndex(w);
     }
-    if (options_.logger) {
-        trace::TraceRecord marker;
-        marker.kind = trace::RecordKind::EpochBoundary;
-        marker.pid = main_pid_;
-        marker.start = options_.logger->now();
-        marker.op_name = "epoch_start";
-        options_.logger->log(std::move(marker));
-    }
+    if (options_.logger)
+        options_.logger->instant({.kind = trace::RecordKind::EpochBoundary,
+                                  .pid = main_pid_,
+                                  .op_name = "epoch_start"});
     epoch_started_ = true;
 }
 
@@ -474,27 +458,23 @@ DataLoader::workerLoop(int worker_id)
         ctx.rng = &rng;
 
         // [T1]: the fetch() call inside the worker loop.
-        trace::SpanTimer span(options_.logger,
-                              trace::RecordKind::BatchPreprocessed);
-        span.record().batch_id = msg->batch_id;
-        span.record().pid = pid;
+        trace::Span span({.logger = options_.logger,
+                          .kind = trace::RecordKind::BatchPreprocessed,
+                          .batch_id = msg->batch_id, .pid = pid,
+                          .histogram = fetch_hist, .pmu = &metrics_.pmu});
+        Result<Batch> batch = fetcher_.tryFetch(msg->batch_id, msg->indices,
+                                                ctx, errors, {}, seeding);
+        span.finish();
         service::BatchMsg out;
         out.batch_id = msg->batch_id;
         out.worker_id = worker_id;
-        {
-            metrics::ScopedTimer fetch_timer(fetch_hist);
-            PmuSpanGuard pmu_span(metrics_.pmu);
-            Result<Batch> batch = fetcher_.tryFetch(
-                msg->batch_id, msg->indices, ctx, errors, {}, seeding);
-            // A failed batch still flows through the data queue (not a
-            // silent worker death): the consumer re-raises it in batch
-            // order as a LoaderError.
-            if (batch.ok())
-                out.batch = batch.take();
-            else
-                out.error = batch.takeError();
-        }
-        span.finish();
+        // A failed batch still flows through the data queue (not a
+        // silent worker death): the consumer re-raises it in batch
+        // order as a LoaderError.
+        if (batch.ok())
+            out.batch = batch.take();
+        else
+            out.error = batch.takeError();
 
         data_queue_->send(std::move(out));
         metrics_.data_queue_depth->add(1);
@@ -527,38 +507,31 @@ DataLoader::nextSynchronous()
     ctx.rng = &sync_rng_;
 
     // [T1] happens inline on the main process; there is no [T2] wait.
-    trace::SpanTimer span(options_.logger,
-                          trace::RecordKind::BatchPreprocessed);
-    span.record().batch_id = wanted;
-    span.record().pid = main_pid_;
-    Batch result;
-    {
-        metrics::ScopedTimer fetch_timer(metrics_.fetch_ns[0]);
-        PmuSpanGuard pmu_span(metrics_.pmu);
-        const ErrorHandling errors{options_.error_policy,
-                                   options_.max_retries,
-                                   options_.max_refill_attempts};
-        Result<Batch> fetched = fetcher_.tryFetch(
-            wanted, batches_[static_cast<std::size_t>(wanted)], ctx, errors,
-            std::move(spare_),
-            FetchSeeding{/*per_sample=*/true, epoch_seed_base_});
-        spare_ = tensor::Tensor();
-        if (!fetched.ok()) {
-            // Synchronous re-raise: worker id -1 marks the main
-            // process. The epoch is over; startEpoch() restarts.
-            epoch_started_ = false;
-            throw LoaderError(fetched.takeError(), wanted, -1);
-        }
-        result = fetched.take();
+    trace::Span span({.logger = options_.logger,
+                      .kind = trace::RecordKind::BatchPreprocessed,
+                      .batch_id = wanted, .pid = main_pid_,
+                      .histogram = metrics_.fetch_ns[0],
+                      .pmu = &metrics_.pmu});
+    const ErrorHandling errors{options_.error_policy, options_.max_retries,
+                               options_.max_refill_attempts};
+    Result<Batch> fetched = fetcher_.tryFetch(
+        wanted, batches_[static_cast<std::size_t>(wanted)], ctx, errors,
+        std::move(spare_),
+        FetchSeeding{/*per_sample=*/true, epoch_seed_base_});
+    spare_ = tensor::Tensor();
+    if (!fetched.ok()) {
+        // Synchronous re-raise: worker id -1 marks the main process.
+        // The epoch is over; startEpoch() restarts.
+        span.discard();
+        epoch_started_ = false;
+        throw LoaderError(fetched.takeError(), wanted, -1);
     }
+    Batch result = fetched.take();
     span.finish();
     pinBatch(result);
-
-    trace::SpanTimer consumed_span(options_.logger,
-                                   trace::RecordKind::BatchConsumed);
-    consumed_span.record().batch_id = wanted;
-    consumed_span.record().pid = main_pid_;
-    consumed_span.finish();
+    trace::Span({.logger = options_.logger,
+                 .kind = trace::RecordKind::BatchConsumed,
+                 .batch_id = wanted, .pid = main_pid_});
 
     metrics_.batches_total->add(1);
     ++rcvd_idx_;
@@ -587,72 +560,58 @@ DataLoader::next()
     }
 
     const std::int64_t wanted = rcvd_idx_;
-    Batch result;
-    bool have_result = false;
 
     // [T2]: wait for the desired batch. Early out-of-order arrivals
     // already pinned and cached get the 1 µs sentinel duration.
-    trace::SpanTimer wait_span(options_.logger, trace::RecordKind::BatchWait);
-    wait_span.record().batch_id = wanted;
-    wait_span.record().pid = main_pid_;
-
-    if (auto cached = reorder_cache_.find(wanted);
-        cached != reorder_cache_.end()) {
-        service::BatchMsg msg = std::move(cached->second);
+    trace::Span wait_span({.logger = options_.logger,
+                           .kind = trace::RecordKind::BatchWait,
+                           .batch_id = wanted, .pid = main_pid_,
+                           .histogram = metrics_.wait_ns});
+    service::BatchMsg msg;
+    const auto cached = reorder_cache_.find(wanted);
+    const bool early = cached != reorder_cache_.end();
+    if (early) {
+        msg = std::move(cached->second);
         reorder_cache_.erase(cached);
         metrics_.pin_cache_size->sub(1);
-        if (msg.error.has_value())
-            raiseWorkerError(std::move(msg));
-        result = std::move(msg.batch);
-        have_result = true;
-        if (options_.logger) {
-            trace::TraceRecord sentinel = wait_span.record();
-            sentinel.duration = trace::kOutOfOrderSentinel;
-            options_.logger->log(std::move(sentinel));
+    }
+    while (!early) {
+        auto received = data_queue_->receive();
+        LOTUS_ASSERT(received.has_value(),
+                     "data queue closed with batches outstanding");
+        metrics_.data_queue_depth->sub(1);
+        if (received->batch_id == wanted) {
+            msg = std::move(*received);
+            break;
         }
+        // Early arrival: pin to CPU memory and cache it (paper
+        // §III-B). Failed batches are cached too so the error
+        // surfaces in batch order, not arrival order.
+        pinBatch(received->batch);
+        reorder_cache_.emplace(received->batch_id, std::move(*received));
+        metrics_.ooo_batches_total->add(1);
+        metrics_.pin_cache_size->add(1);
+    }
+    if (msg.error.has_value()) {
+        wait_span.discard();
+        raiseWorkerError(std::move(msg));
+    }
+    Batch result = std::move(msg.batch);
+    if (early) {
+        wait_span.finishWith(trace::kOutOfOrderSentinel);
     } else {
-        const bool measured = metrics::enabled();
-        const TimeNs wait_start =
-            measured ? SteadyClock::instance().now() : 0;
-        while (!have_result) {
-            auto msg = data_queue_->receive();
-            LOTUS_ASSERT(msg.has_value(),
-                         "data queue closed with batches outstanding");
-            metrics_.data_queue_depth->sub(1);
-            if (msg->batch_id == wanted) {
-                if (msg->error.has_value())
-                    raiseWorkerError(std::move(*msg));
-                result = std::move(msg->batch);
-                have_result = true;
-            } else {
-                // Early arrival: pin to CPU memory and cache it
-                // (paper §III-B). Failed batches are cached too so the
-                // error surfaces in batch order, not arrival order.
-                pinBatch(msg->batch);
-                reorder_cache_.emplace(msg->batch_id, std::move(*msg));
-                metrics_.ooo_batches_total->add(1);
-                metrics_.pin_cache_size->add(1);
-            }
-        }
-        if (measured) {
-            const TimeNs waited =
-                SteadyClock::instance().now() - wait_start;
-            const auto waited_u =
-                static_cast<std::uint64_t>(waited > 0 ? waited : 0);
-            metrics_.wait_ns->record(waited_u);
-            metrics_.wait_ns_total->add(waited_u);
-        }
-        wait_span.finish();
+        const TimeNs waited = wait_span.finish();
+        metrics_.wait_ns_total->add(
+            static_cast<std::uint64_t>(waited > 0 ? waited : 0));
         pinBatch(result);
     }
 
     // Consumption span: bookkeeping + dispatch of new work for the
     // producing worker (paper §II-B: one new batch of indices goes to
     // the worker that produced the consumed batch).
-    trace::SpanTimer consumed_span(options_.logger,
-                                   trace::RecordKind::BatchConsumed);
-    consumed_span.record().batch_id = wanted;
-    consumed_span.record().pid = main_pid_;
+    trace::Span consumed_span({.logger = options_.logger,
+                               .kind = trace::RecordKind::BatchConsumed,
+                               .batch_id = wanted, .pid = main_pid_});
     const auto producer = batch_worker_.find(wanted);
     LOTUS_ASSERT(producer != batch_worker_.end(),
                  "unknown producer for batch %lld",

@@ -37,7 +37,7 @@
 #include "dataflow/fetcher.h"
 #include "metrics/metrics.h"
 #include "service/transport.h"
-#include "trace/logger.h"
+#include "trace/span.h"
 
 namespace lotus::service {
 class PreprocServer;
@@ -320,7 +320,7 @@ class DataLoader
         metrics::Histogram *batch_span_ns = nullptr;
         /** Measured per-thread PMU deltas summed over fetch spans
          *  (stay zero on the simulated backend). */
-        PmuCounters pmu;
+        trace::PmuCounters pmu;
     };
 
     std::shared_ptr<const pipeline::Dataset> dataset_;

@@ -1,9 +1,8 @@
 #include "dataflow/fetcher.h"
 
-#include "common/clock.h"
-#include "hwcount/thread_counters.h"
 #include "metrics/metrics.h"
 #include "pipeline/traced_store.h"
+#include "trace/span.h"
 
 namespace lotus::dataflow {
 
@@ -33,26 +32,6 @@ Fetcher::fetch(std::int64_t batch_id,
     return batch.take();
 }
 
-PmuSpanGuard::PmuSpanGuard(const PmuCounters &counters)
-    : counters_(counters),
-      active_(counters.cycles != nullptr &&
-              hwcount::ThreadCounterRegistry::threadHasPmu())
-{
-    if (active_)
-        start_ = hwcount::ThreadCounterRegistry::readCurrent();
-}
-
-PmuSpanGuard::~PmuSpanGuard()
-{
-    if (!active_)
-        return;
-    const hwcount::CounterSet delta = hwcount::counterDelta(
-        hwcount::ThreadCounterRegistry::readCurrent(), start_);
-    counters_.cycles->add(delta.cycles);
-    counters_.instructions->add(delta.instructions);
-    counters_.llc_misses->add(delta.llc_misses);
-}
-
 void
 noteSampleError(const Error &error, std::int64_t sample_index,
                 pipeline::PipelineContext &ctx, ErrorPolicy policy)
@@ -62,17 +41,11 @@ noteSampleError(const Error &error, std::int64_t sample_index,
         .counter(metrics::labeled(kSampleErrorsMetric, "policy",
                                   errorPolicyName(policy), "stage", stage))
         ->add(1);
-    if (ctx.logger != nullptr) {
-        trace::TraceRecord record;
-        record.kind = trace::RecordKind::ErrorEvent;
-        record.batch_id = ctx.batch_id;
-        record.pid = ctx.pid;
-        record.start = SteadyClock::instance().now();
-        record.duration = 0;
-        record.op_name = "error:" + stage;
-        record.sample_index = sample_index;
-        ctx.logger->log(std::move(record));
-    }
+    if (ctx.logger != nullptr)
+        ctx.logger->instant({.kind = trace::RecordKind::ErrorEvent,
+                             .batch_id = ctx.batch_id, .pid = ctx.pid,
+                             .op_name = "error:" + stage,
+                             .sample_index = sample_index});
 }
 
 std::uint64_t
@@ -241,17 +214,12 @@ Fetcher::collateBatch(std::int64_t batch_id,
                       pipeline::PipelineContext &ctx,
                       tensor::Tensor reuse) const
 {
-    trace::SpanTimer span(ctx.logger, trace::RecordKind::TransformOp);
-    span.record().op_name = pipeline::Collate::kOpName;
-    span.record().batch_id = batch_id;
-    span.record().pid = ctx.pid;
-    pipeline::Batch batch;
-    {
-        metrics::ScopedTimer collate_timer(collate_ns_);
-        hwcount::OpTagScope op_scope(collate_tag_);
-        batch = collate_->collateInto(std::move(samples),
-                                      std::move(reuse));
-    }
+    trace::Span span({.logger = ctx.logger,
+                      .op_name = pipeline::Collate::kOpName,
+                      .batch_id = batch_id, .pid = ctx.pid,
+                      .histogram = collate_ns_, .op = collate_tag_});
+    pipeline::Batch batch =
+        collate_->collateInto(std::move(samples), std::move(reuse));
     span.finish();
     batch.batch_id = batch_id;
     return batch;

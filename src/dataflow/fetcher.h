@@ -14,7 +14,6 @@
 #include "cache/sample_cache.h"
 #include "dataflow/error_policy.h"
 #include "dataflow/read_ahead.h"
-#include "hwcount/counters.h"
 #include "hwcount/registry.h"
 #include "pipeline/collate.h"
 #include "pipeline/dataset.h"
@@ -34,36 +33,6 @@ inline constexpr const char *kSampleErrorsMetric =
  */
 void noteSampleError(const Error &error, std::int64_t sample_index,
                      pipeline::PipelineContext &ctx, ErrorPolicy policy);
-
-/** The lotus_pmu_* counters a PmuSpanGuard publishes into; a null
- *  `cycles` disables publication. */
-struct PmuCounters
-{
-    metrics::Counter *cycles = nullptr;
-    metrics::Counter *instructions = nullptr;
-    metrics::Counter *llc_misses = nullptr;
-};
-
-/**
- * RAII publication of one fetch span's measured PMU delta into
- * PmuCounters. Costs one branch on threads without a live counter
- * group (the common case: registry disabled or sim backend), so it
- * can wrap every fetch unconditionally.
- */
-class PmuSpanGuard
-{
-  public:
-    explicit PmuSpanGuard(const PmuCounters &counters);
-    ~PmuSpanGuard();
-
-    PmuSpanGuard(const PmuSpanGuard &) = delete;
-    PmuSpanGuard &operator=(const PmuSpanGuard &) = delete;
-
-  private:
-    const PmuCounters &counters_;
-    bool active_;
-    hwcount::CounterSet start_;
-};
 
 /**
  * Augmentation RNG seeding contract (DESIGN.md §10). When

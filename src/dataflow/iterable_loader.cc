@@ -3,6 +3,7 @@
 #include "common/strings.h"
 #include "common/thread_util.h"
 #include "dataflow/fetcher.h"
+#include "trace/span.h"
 
 namespace lotus::dataflow {
 
@@ -67,9 +68,9 @@ IterableDataLoader::workerLoop(int worker_id)
     while (!exhausted) {
         // [T1]: one fetch = stream batch_size samples + collate, the
         // same span the map-style fetcher instruments.
-        trace::SpanTimer span(options_.logger,
-                              trace::RecordKind::BatchPreprocessed);
-        span.record().pid = pid;
+        trace::Span span({.logger = options_.logger,
+                          .kind = trace::RecordKind::BatchPreprocessed,
+                          .pid = pid});
 
         std::vector<Sample> samples;
         samples.reserve(static_cast<std::size_t>(options_.batch_size));
@@ -107,24 +108,21 @@ IterableDataLoader::workerLoop(int worker_id)
         if (samples.empty() ||
             (exhausted &&
              static_cast<int>(samples.size()) < options_.batch_size &&
-             options_.drop_last))
+             options_.drop_last)) {
+            span.discard();
             break;
+        }
 
         const std::int64_t batch_id = next_batch_id_.fetch_add(1);
         ctx.batch_id = batch_id;
-        span.record().batch_id = batch_id;
+        span.setBatchId(batch_id);
 
-        Batch batch;
-        {
-            trace::SpanTimer collate_span(options_.logger,
-                                          trace::RecordKind::TransformOp);
-            collate_span.record().op_name = pipeline::Collate::kOpName;
-            collate_span.record().batch_id = batch_id;
-            collate_span.record().pid = pid;
-            hwcount::OpTagScope op_scope(collate_tag_);
-            batch = collate_->collate(std::move(samples));
-            collate_span.finish();
-        }
+        trace::Span collate_span({.logger = options_.logger,
+                                  .op_name = pipeline::Collate::kOpName,
+                                  .batch_id = batch_id, .pid = pid,
+                                  .op = collate_tag_});
+        Batch batch = collate_->collate(std::move(samples));
+        collate_span.finish();
         batch.batch_id = batch_id;
         span.finish();
 
@@ -148,12 +146,13 @@ IterableDataLoader::next()
     while (workers_done_ < options_.num_workers) {
         // [T2]: wait for whichever batch arrives next (no expected
         // order exists for iterable datasets).
-        trace::SpanTimer wait_span(options_.logger,
-                                   trace::RecordKind::BatchWait);
-        wait_span.record().pid = main_pid_;
+        trace::Span wait_span({.logger = options_.logger,
+                               .kind = trace::RecordKind::BatchWait,
+                               .pid = main_pid_});
         auto msg = data_queue_->pop();
         LOTUS_ASSERT(msg.has_value(), "data queue closed mid-stream");
         if (msg->done) {
+            wait_span.discard();
             ++workers_done_;
             continue;
         }
@@ -163,18 +162,16 @@ IterableDataLoader::next()
             const std::int64_t batch_id = msg->batch.batch_id;
             const int worker_id = msg->worker_id;
             Error error = std::move(*msg->error);
+            wait_span.discard();
             shutdownWorkers();
             epoch_started_ = false;
             throw LoaderError(std::move(error), batch_id, worker_id);
         }
-        wait_span.record().batch_id = msg->batch.batch_id;
+        wait_span.setBatchId(msg->batch.batch_id);
         wait_span.finish();
-
-        trace::SpanTimer consumed(options_.logger,
-                                  trace::RecordKind::BatchConsumed);
-        consumed.record().batch_id = msg->batch.batch_id;
-        consumed.record().pid = main_pid_;
-        consumed.finish();
+        trace::Span({.logger = options_.logger,
+                     .kind = trace::RecordKind::BatchConsumed,
+                     .batch_id = msg->batch.batch_id, .pid = main_pid_});
         return std::move(msg->batch);
     }
     shutdownWorkers();

@@ -34,6 +34,7 @@
 #include "common/clock.h"
 #include "common/result.h"
 #include "pipeline/sample.h"
+#include "trace/span.h"
 
 namespace lotus::dataflow {
 
@@ -76,10 +77,9 @@ struct BatchBuild
     /** Fleet worker that decomposed the batch; a task run by any
      *  other worker counts as a steal. */
     int home_worker = 0;
-    /** Decompose time on the metrics clock; 0 when metrics are off. */
-    TimeNs start = 0;
-    /** Decompose time on the tracer's clock; 0 when untraced. */
-    TimeNs trace_start = 0;
+    /** [T1] of the whole build, decompose to ship: finished by the
+     *  collating worker, discarded if the build never ships. */
+    std::optional<trace::Span> span;
     /** epochSeedBase(seed, epoch) of the submitting epoch: tasks
      *  reseed with sampleRngSeed(seed_base, index), so mixed-tenant
      *  fleets stay bit-identical to a solo loader per tenant. */
@@ -93,6 +93,12 @@ struct BatchBuild
     std::vector<std::optional<Error>> errors;
     std::vector<SampleTask> tasks;
     std::atomic<int> remaining{0};
+
+    ~BatchBuild()
+    {
+        if (span.has_value())
+            span->discard();
+    }
 };
 
 /**

@@ -1,6 +1,7 @@
 #include "hwcount/registry.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/logging.h"
 #include "common/thread_util.h"
@@ -235,18 +236,13 @@ KernelScope::~KernelScope()
     }
 }
 
-OpTagScope::OpTagScope(OpTag tag) : previous_(current_op)
+OpTag
+setCurrentOpTag(OpTag tag)
 {
-    current_op = tag;
+    const OpTag previous = std::exchange(current_op, tag);
     KernelRegistry::instance().threadState().live_op.store(
         tag, std::memory_order_relaxed);
-}
-
-OpTagScope::~OpTagScope()
-{
-    current_op = previous_;
-    KernelRegistry::instance().threadState().live_op.store(
-        previous_, std::memory_order_relaxed);
+    return previous;
 }
 
 OpTag

@@ -147,7 +147,7 @@ class KernelRegistry
 
   private:
     friend class KernelScope;
-    friend class OpTagScope;
+    friend OpTag setCurrentOpTag(OpTag tag);
 
     struct ThreadState;
 
@@ -205,21 +205,11 @@ class KernelScope
 };
 
 /**
- * RAII ground-truth operation tag covering a region of execution.
- * Only meaningful when the registry's ground-truth mode is enabled.
+ * Make @p tag the calling thread's ground-truth operation (what
+ * KernelScope attributes to and liveOps() reports) and return the
+ * previous one. trace::Span holds a tag for its extent this way.
  */
-class OpTagScope
-{
-  public:
-    explicit OpTagScope(OpTag tag);
-    ~OpTagScope();
-
-    OpTagScope(const OpTagScope &) = delete;
-    OpTagScope &operator=(const OpTagScope &) = delete;
-
-  private:
-    OpTag previous_;
-};
+OpTag setCurrentOpTag(OpTag tag);
 
 /** Currently active ground-truth op tag on this thread. */
 OpTag currentOpTag();

@@ -11,6 +11,7 @@
 #include "image/codec/dct.h"
 #include "metrics/metrics.h"
 #include "simd/dispatch.h"
+#include "trace/span.h"
 
 namespace lotus::image::codec {
 
@@ -513,7 +514,7 @@ Result<Image>
 tryDecode(const std::string &bytes, const DecodeOptions &options)
 {
     const DecodeMetrics &decode_metrics = DecodeMetrics::instance();
-    metrics::ScopedTimer decode_timer(decode_metrics.decode_ns);
+    trace::Span decode_span({.histogram = decode_metrics.decode_ns});
     if (options.reference)
         decode_metrics.reference_total->add(1);
     else

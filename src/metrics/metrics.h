@@ -34,8 +34,6 @@
 #include <string>
 #include <vector>
 
-#include "common/clock.h"
-
 namespace lotus::metrics {
 
 namespace detail {
@@ -311,36 +309,6 @@ class MetricsRegistry
     std::map<std::string, std::unique_ptr<Counter>> counters_;
     std::map<std::string, std::unique_ptr<Gauge>> gauges_;
     std::map<std::string, std::unique_ptr<Histogram>> histograms_;
-};
-
-/**
- * Scoped latency capture into a histogram. Reads the clock only when
- * metrics are enabled at construction time.
- */
-class ScopedTimer
-{
-  public:
-    explicit ScopedTimer(Histogram *histogram)
-        : histogram_(enabled() ? histogram : nullptr),
-          start_(histogram_ ? SteadyClock::instance().now() : 0)
-    {
-    }
-
-    ~ScopedTimer()
-    {
-        if (histogram_ == nullptr)
-            return;
-        const TimeNs elapsed = SteadyClock::instance().now() - start_;
-        histogram_->record(
-            static_cast<std::uint64_t>(elapsed > 0 ? elapsed : 0));
-    }
-
-    ScopedTimer(const ScopedTimer &) = delete;
-    ScopedTimer &operator=(const ScopedTimer &) = delete;
-
-  private:
-    Histogram *histogram_;
-    TimeNs start_;
 };
 
 } // namespace lotus::metrics

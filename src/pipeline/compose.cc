@@ -72,17 +72,9 @@ Compose::applyRange(Sample &sample, PipelineContext &ctx,
 {
     for (std::size_t i = begin; i < end; ++i) {
         const auto &entry = entries_[i];
-        trace::SpanTimer span(ctx.logger, trace::RecordKind::TransformOp);
-        span.record().op_name = entry.transform->name();
-        span.record().batch_id = ctx.batch_id;
-        span.record().pid = ctx.pid;
-        span.record().sample_index = ctx.sample_index;
-        {
-            metrics::ScopedTimer op_timer(entry.op_ns);
-            hwcount::OpTagScope op_scope(entry.op_tag);
-            entry.transform->apply(sample, ctx.rngRef());
-        }
-        span.finish();
+        trace::Span span(ctx.opSpan(entry.transform->name(), entry.op_tag,
+                                    entry.op_ns));
+        entry.transform->apply(sample, ctx.rngRef());
     }
 }
 

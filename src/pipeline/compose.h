@@ -3,10 +3,12 @@
  * Compose: a declaratively chained sequence of transforms, with the
  * paper's [T3] instrumentation (Listing 3) built in.
  *
- * When a TraceLogger is supplied, every transform application on
- * every sample is logged with two timestamps — name, start, duration —
- * and also wrapped in a ground-truth OpTagScope so LotusMap's
- * reconstruction can be scored against reality in tests.
+ * Every transform application on every sample runs under one
+ * trace::Span: with a TraceLogger it is logged with two timestamps —
+ * name, start, duration — and the same duration feeds the op's
+ * lotus_pipeline_op_ns histogram; the span also holds the op's
+ * ground-truth tag so LotusMap's reconstruction can be scored against
+ * reality in tests.
  */
 
 #ifndef LOTUS_PIPELINE_COMPOSE_H

@@ -65,31 +65,20 @@ ImageFolderDataset::tryGetPrefix(std::int64_t index,
     Sample sample;
     sample.label = index % num_classes_;
     {
-        trace::SpanTimer span(ctx.logger, trace::RecordKind::TransformOp);
-        span.record().op_name = kLoaderOpName;
-        span.record().batch_id = ctx.batch_id;
-        span.record().pid = ctx.pid;
-        span.record().sample_index = ctx.sample_index;
-        {
-            hwcount::OpTagScope op_scope(loader_tag_);
-            Result<std::string> blob = readBlobOrStaged(*store_, index);
-            if (!blob.ok()) {
-                Error error = blob.takeError();
-                error.stage = "store";
-                span.finish();
-                return error;
-            }
-            Result<image::Image> image =
-                image::codec::tryDecode(blob.value());
-            if (!image.ok()) {
-                Error error = image.takeError();
-                error.stage = "decode";
-                span.finish();
-                return error;
-            }
-            sample.image = image.take();
+        trace::Span span(ctx.opSpan(kLoaderOpName, loader_tag_));
+        Result<std::string> blob = readBlobOrStaged(*store_, index);
+        if (!blob.ok()) {
+            Error error = blob.takeError();
+            error.stage = "store";
+            return error;
         }
-        span.finish();
+        Result<image::Image> image = image::codec::tryDecode(blob.value());
+        if (!image.ok()) {
+            Error error = image.takeError();
+            error.stage = "decode";
+            return error;
+        }
+        sample.image = image.take();
     }
     transforms_->applyPrefix(sample, ctx);
     return sample;

@@ -18,7 +18,7 @@
 #include "common/rng.h"
 #include "image/image.h"
 #include "tensor/tensor.h"
-#include "trace/logger.h"
+#include "trace/span.h"
 
 namespace lotus::pipeline {
 
@@ -63,6 +63,16 @@ struct PipelineContext
     {
         LOTUS_ASSERT(rng != nullptr, "pipeline context has no rng");
         return *rng;
+    }
+
+    /** The [T3] span of op @p op_name on this context's sample. */
+    trace::SpanSpec
+    opSpan(std::string_view op_name, hwcount::OpTag op,
+           metrics::Histogram *histogram = nullptr) const
+    {
+        return {.logger = logger, .op_name = op_name, .batch_id = batch_id,
+                .pid = pid, .sample_index = sample_index,
+                .histogram = histogram, .op = op};
     }
 };
 

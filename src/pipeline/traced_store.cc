@@ -1,13 +1,15 @@
 #include "pipeline/traced_store.h"
 
 #include "common/logging.h"
-#include "metrics/metrics.h"
-#include "trace/logger.h"
 
 namespace lotus::pipeline {
 
 TracedStore::TracedStore(std::shared_ptr<const BlobStore> inner)
-    : inner_(std::move(inner))
+    : inner_(std::move(inner)),
+      read_ns_(metrics::MetricsRegistry::instance().histogram(
+          kStoreReadNsMetric)),
+      read_bytes_(metrics::MetricsRegistry::instance().histogram(
+          kStoreReadBytesMetric))
 {
     LOTUS_ASSERT(inner_ != nullptr);
 }
@@ -27,82 +29,78 @@ TracedStore::blobSize(std::int64_t index) const
 std::string
 TracedStore::read(std::int64_t index) const
 {
-    const TimeNs start = SteadyClock::instance().now();
+    const PipelineContext *ctx = currentIoContext();
+    trace::Span call({.logger = ctx != nullptr ? ctx->logger : nullptr,
+                      .histogram = read_ns_});
     std::string blob = inner_->read(index);
-    note(blob.size(), SteadyClock::instance().now() - start, start);
+    note(blob.size(), call.start(), call.stop(), ctx);
     return blob;
 }
 
 Result<std::string>
 TracedStore::tryRead(std::int64_t index) const
 {
-    const TimeNs start = SteadyClock::instance().now();
+    const PipelineContext *ctx = currentIoContext();
+    trace::Span call({.logger = ctx != nullptr ? ctx->logger : nullptr,
+                      .histogram = read_ns_});
     Result<std::string> blob = inner_->tryRead(index);
+    const TimeNs elapsed = call.stop();
     // Failed reads are not observations of store latency — the error
     // path is accounted by lotus_loader_sample_errors_total instead.
     if (blob.ok())
-        note(blob.value().size(), SteadyClock::instance().now() - start,
-             start);
+        note(blob.value().size(), call.start(), elapsed, ctx);
     return blob;
 }
 
 std::vector<Result<std::string>>
 TracedStore::tryReadMany(const std::vector<BlobReadRequest> &requests) const
 {
-    const TimeNs start = SteadyClock::instance().now();
+    // The span only times the round trip (stop()); note() hands its
+    // one interval to every blob that rode it.
+    PipelineContext *ambient = currentIoContext();
+    trace::Span call(
+        {.logger = ambient != nullptr ? ambient->logger : nullptr,
+         .histogram = read_ns_});
     std::vector<Result<std::string>> blobs = inner_->tryReadMany(requests);
-    const TimeNs elapsed = SteadyClock::instance().now() - start;
+    const TimeNs elapsed = call.stop();
     LOTUS_ASSERT(blobs.size() == requests.size(),
                  "tryReadMany returned %zu results for %zu requests",
                  blobs.size(), requests.size());
-    PipelineContext *ambient = currentIoContext();
     for (std::size_t i = 0; i < blobs.size(); ++i) {
         if (!blobs[i].ok())
             continue;
-        if (ambient != nullptr) {
-            // Stamp each blob's IoEvent from its own request, not from
-            // whatever the issuing thread's ambient context says: on
-            // an I/O thread the ambient scope only carries logger+pid.
-            PipelineContext ctx = *ambient;
-            ctx.batch_id = requests[i].batch_id;
-            ctx.sample_index = requests[i].sample_index;
-            IoTraceScope scope(&ctx);
-            note(blobs[i].value().size(), elapsed, start);
-        } else {
-            note(blobs[i].value().size(), elapsed, start);
-        }
+        // Stamp each blob's IoEvent from its own request, not from
+        // whatever the issuing thread's ambient context says: on an
+        // I/O thread the ambient scope only carries logger+pid.
+        PipelineContext ctx = ambient != nullptr ? *ambient : PipelineContext{};
+        ctx.batch_id = requests[i].batch_id;
+        ctx.sample_index = requests[i].sample_index;
+        note(blobs[i].value().size(), call.start(), elapsed,
+             ambient != nullptr ? &ctx : nullptr);
     }
     return blobs;
 }
 
 void
-TracedStore::note(std::uint64_t bytes, TimeNs elapsed, TimeNs start) const
+TracedStore::note(std::uint64_t bytes, TimeNs start, TimeNs elapsed,
+                  const PipelineContext *ctx) const
 {
     reads_.fetch_add(1, std::memory_order_relaxed);
     bytes_.fetch_add(bytes, std::memory_order_relaxed);
-
-    if (metrics::enabled()) {
-        auto &registry = metrics::MetricsRegistry::instance();
-        registry.histogram(kStoreReadNsMetric)
-            ->record(static_cast<std::uint64_t>(elapsed));
-        registry.histogram(kStoreReadBytesMetric)->record(bytes);
-    }
-
-    PipelineContext *ctx = currentIoContext();
+    read_ns_->record(static_cast<std::uint64_t>(elapsed));
+    read_bytes_->record(bytes);
     if (ctx == nullptr || ctx->logger == nullptr)
         return;
-    trace::TraceRecord record;
-    record.kind = trace::RecordKind::IoEvent;
-    record.batch_id = ctx->batch_id;
-    record.pid = ctx->pid;
-    record.start = start;
-    record.duration = elapsed;
     // Op names must stay comma-free (record.cc line format); the byte
     // count rides in the name so analysis can recover sizes from the
     // trace alone.
-    record.op_name = "io:" + std::to_string(bytes);
-    record.sample_index = ctx->sample_index;
-    ctx->logger->log(std::move(record));
+    ctx->logger->log({.kind = trace::RecordKind::IoEvent,
+                      .batch_id = ctx->batch_id,
+                      .pid = ctx->pid,
+                      .start = start,
+                      .duration = elapsed,
+                      .op_name = "io:" + std::to_string(bytes),
+                      .sample_index = ctx->sample_index});
 }
 
 } // namespace lotus::pipeline

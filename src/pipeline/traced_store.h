@@ -20,9 +20,11 @@
  * latency for each blob that rode it (the read did take that long to
  * arrive); bytes are always per blob.
  *
- * Overhead outside an IoTraceScope (or with metrics disabled) is two
- * clock reads and two relaxed atomic adds per read; budgeted in
- * bench_micro's io_trace_overhead_pct.
+ * Each read is one trace::Span, so the IoEvent and the latency sample
+ * cover the same interval on the logger's clock. Outside an
+ * IoTraceScope with metrics disabled a read costs two relaxed atomic
+ * adds and no clock read; budgeted in bench_micro's
+ * io_trace_overhead_pct.
  */
 
 #ifndef LOTUS_PIPELINE_TRACED_STORE_H
@@ -32,8 +34,10 @@
 #include <cstdint>
 #include <memory>
 
+#include "metrics/metrics.h"
 #include "pipeline/sample.h"
 #include "pipeline/store.h"
+#include "trace/span.h"
 
 namespace lotus::pipeline {
 
@@ -73,10 +77,14 @@ class TracedStore : public BlobStore
     }
 
   private:
-    /** Record one successful read of @p bytes taking @p elapsed. */
-    void note(std::uint64_t bytes, TimeNs elapsed, TimeNs start) const;
+    /** Record one successful read of @p bytes over [start, start +
+     *  elapsed] and log its IoEvent when @p ctx carries a tracer. */
+    void note(std::uint64_t bytes, TimeNs start, TimeNs elapsed,
+              const PipelineContext *ctx) const;
 
     std::shared_ptr<const BlobStore> inner_;
+    metrics::Histogram *read_ns_;
+    metrics::Histogram *read_bytes_;
     mutable std::atomic<std::uint64_t> reads_{0};
     mutable std::atomic<std::uint64_t> bytes_{0};
 };

@@ -25,21 +25,12 @@ VolumeDataset::get(std::int64_t index, PipelineContext &ctx) const
     Sample sample;
     sample.label = index;
     {
-        trace::SpanTimer span(ctx.logger, trace::RecordKind::TransformOp);
-        span.record().op_name = kLoaderOpName;
-        span.record().batch_id = ctx.batch_id;
-        span.record().pid = ctx.pid;
-        span.record().sample_index = ctx.sample_index;
-        {
-            hwcount::OpTagScope op_scope(loader_tag_);
-            Result<std::string> blob = readBlobOrStaged(*store_, index);
-            if (!blob.ok())
-                LOTUS_FATAL("volume %lld: %s",
-                            static_cast<long long>(index),
-                            blob.error().describe().c_str());
-            sample.data = tensor::fromBytes(blob.take());
-        }
-        span.finish();
+        trace::Span span(ctx.opSpan(kLoaderOpName, loader_tag_));
+        Result<std::string> blob = readBlobOrStaged(*store_, index);
+        if (!blob.ok())
+            LOTUS_FATAL("volume %lld: %s", static_cast<long long>(index),
+                        blob.error().describe().c_str());
+        sample.data = tensor::fromBytes(blob.take());
     }
     (*transforms_)(sample, ctx);
     return sample;

@@ -1,8 +1,8 @@
 #include "service/loader_client.h"
 
-#include "common/clock.h"
 #include "dataflow/sampler.h"
 #include "dataflow/task_runner.h"
+#include "trace/span.h"
 
 namespace lotus::service {
 
@@ -80,9 +80,7 @@ LoaderClient::next()
     } else {
         // [T2]: blocked on the shared fleet, the service analogue of
         // DataLoader::next() blocking on its data queue.
-        const bool measured = metrics::enabled();
-        const TimeNs wait_start =
-            measured ? SteadyClock::instance().now() : 0;
+        trace::Span wait_span({.histogram = state_->metrics.wait_ns});
         for (;;) {
             auto received = state_->transport->receive();
             LOTUS_ASSERT(received.has_value(),
@@ -98,12 +96,6 @@ LoaderClient::next()
             // errors) surface in batch order, like the solo reorder
             // cache.
             reorder_.emplace(received->batch_id, std::move(*received));
-        }
-        if (measured) {
-            const TimeNs waited =
-                SteadyClock::instance().now() - wait_start;
-            state_->metrics.wait_ns->record(
-                static_cast<std::uint64_t>(waited > 0 ? waited : 0));
         }
     }
 

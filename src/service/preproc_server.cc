@@ -9,6 +9,7 @@
 #include "dataflow/task_runner.h"
 #include "hwcount/thread_counters.h"
 #include "service/loader_client.h"
+#include "trace/span.h"
 
 namespace lotus::service {
 
@@ -411,10 +412,11 @@ PreprocServer::decompose(ClientState &client, Submission submission,
     build->home_worker = worker_id;
     build->seed_base = submission.seed_base;
     build->generation = submission.generation;
-    if (client.config.logger != nullptr)
-        build->trace_start = client.config.logger->now();
-    if (metrics::enabled())
-        build->start = SteadyClock::instance().now();
+    build->span.emplace(trace::SpanSpec{
+        .logger = client.config.logger,
+        .kind = trace::RecordKind::BatchPreprocessed,
+        .batch_id = build->batch_id,
+        .histogram = client.metrics.batch_span_ns});
     build->indices = std::move(submission.indices);
     const auto n = build->indices.size();
     LOTUS_ASSERT(n > 0, "empty batch submitted");
@@ -493,31 +495,25 @@ PreprocServer::executeTask(ClientState &client, SampleTask *task,
     if (worker_id != build.home_worker) {
         if (!metrics.steals.empty())
             metrics.steals[static_cast<std::size_t>(worker_id)]->add(1);
-        if (ctx.logger != nullptr) {
-            trace::TraceRecord record;
-            record.kind = trace::RecordKind::StealEvent;
-            record.batch_id = build.batch_id;
-            record.pid = ctx.pid;
-            record.start = ctx.logger->now();
-            record.op_name = strFormat("steal<-w%d", build.home_worker);
-            record.sample_index = task->index;
-            ctx.logger->log(std::move(record));
-        }
+        if (ctx.logger != nullptr)
+            ctx.logger->instant(
+                {.kind = trace::RecordKind::StealEvent,
+                 .batch_id = build.batch_id, .pid = ctx.pid,
+                 .op_name = strFormat("steal<-w%d", build.home_worker),
+                 .sample_index = task->index});
     }
 
-    trace::SpanTimer span(ctx.logger, trace::RecordKind::TaskSpan);
-    span.record().op_name = "task";
-    span.record().batch_id = build.batch_id;
-    span.record().pid = ctx.pid;
-    span.record().sample_index = task->index;
-    const TimeNs fetch_start = SteadyClock::instance().now();
-    Result<pipeline::Sample> sample = [&] {
-        dataflow::PmuSpanGuard pmu_span(metrics.pmu);
-        return client.fetcher.getSample(task->index, ctx);
-    }();
-    const TimeNs fetch_ns = std::max<TimeNs>(
-        SteadyClock::instance().now() - fetch_start, 0);
-    span.finish();
+    // Timed even with every sink off: fairness needs the duration.
+    trace::SpanSpec spec = ctx.opSpan("task", hwcount::kNoOp);
+    spec.kind = trace::RecordKind::TaskSpan;
+    if (!metrics.fetch_ns.empty())
+        spec.histogram = metrics.fetch_ns[static_cast<std::size_t>(worker_id)];
+    spec.pmu = &metrics.pmu;
+    spec.timed = true;
+    trace::Span span(spec);
+    Result<pipeline::Sample> sample =
+        client.fetcher.getSample(task->index, ctx);
+    const TimeNs fetch_ns = std::max<TimeNs>(span.finish(), 0);
     ctx.sample_index = -1;
 
     // Weighted-fair accounting charges measured service time, not
@@ -527,9 +523,6 @@ PreprocServer::executeTask(ClientState &client, SampleTask *task,
                                 std::memory_order_relaxed);
     client.executed_tasks.fetch_add(1, std::memory_order_relaxed);
     metrics.tasks->add(1);
-    if (!metrics.fetch_ns.empty())
-        metrics.fetch_ns[static_cast<std::size_t>(worker_id)]->record(
-            static_cast<std::uint64_t>(fetch_ns));
 
     switch (dataflow::resolveTask(task, std::move(sample), client.errors,
                                   client.fetcher.dataset().size(), ctx)) {
@@ -579,20 +572,8 @@ PreprocServer::finishBatch(ClientState &client, BatchBuild &build,
         }
         // [T1] for the whole build: decompose -> last slot + collate,
         // in the finisher's lane.
-        if (client.config.logger != nullptr) {
-            trace::TraceRecord record;
-            record.kind = trace::RecordKind::BatchPreprocessed;
-            record.batch_id = build.batch_id;
-            record.pid = ctx.pid;
-            record.start = build.trace_start;
-            record.duration =
-                client.config.logger->now() - build.trace_start;
-            client.config.logger->log(std::move(record));
-        }
-        if (build.start != 0 && client.metrics.batch_span_ns != nullptr)
-            client.metrics.batch_span_ns->record(static_cast<std::uint64_t>(
-                std::max<TimeNs>(SteadyClock::instance().now() - build.start,
-                                 0)));
+        build.span->setPid(ctx.pid);
+        build.span->finish();
         client.transport->send(std::move(msg));
         client.shipped_batches.fetch_add(1, std::memory_order_relaxed);
         if (client.metrics.batches != nullptr)

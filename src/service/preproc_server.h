@@ -149,7 +149,7 @@ struct TenantMetrics
     std::vector<metrics::Histogram *> fetch_ns;
     std::vector<metrics::Counter *> steals;
     /** Measured PMU deltas over fetch spans. */
-    dataflow::PmuCounters pmu;
+    trace::PmuCounters pmu;
 };
 
 /**

@@ -106,10 +106,13 @@ TraceLogger::writeTo(const std::string &path) const
     return text.size();
 }
 
-std::vector<TraceRecord>
+Result<std::vector<TraceRecord>>
 TraceLogger::readFrom(const std::string &path)
 {
-    return recordsFromText(readFile(path));
+    Result<std::string> text = tryReadFile(path);
+    if (!text.ok())
+        return text.takeError();
+    return recordsFromText(text.value());
 }
 
 void

@@ -38,6 +38,15 @@ class TraceLogger
     /** Append one record (cheap; per-thread buffered). */
     void log(TraceRecord record);
 
+    /** Log @p record as an instant stamped with now(), so instants and
+     *  spans (trace::Span) share the logger's timeline. */
+    void
+    instant(TraceRecord record)
+    {
+        record.start = now();
+        log(std::move(record));
+    }
+
     /**
      * Synchronous per-record callback, invoked on the logging thread
      * before buffering. This is the hook point baseline profilers
@@ -65,8 +74,9 @@ class TraceLogger
     /** Write the merged log to @p path; returns bytes written. */
     std::uint64_t writeTo(const std::string &path) const;
 
-    /** Load records from a log file. */
-    static std::vector<TraceRecord> readFrom(const std::string &path);
+    /** Load records from a log file (see recordsFromText). */
+    static Result<std::vector<TraceRecord>>
+    readFrom(const std::string &path);
 
     /** Discard all records. */
     void reset();
@@ -92,39 +102,6 @@ class TraceLogger
     bool store_records_ = true;
     mutable std::mutex buffers_mutex_;
     std::vector<std::shared_ptr<ThreadBuffer>> buffers_;
-};
-
-/**
- * Convenience span capture: remembers start time at construction and
- * logs the record with the measured duration at finish().
- */
-class SpanTimer
-{
-  public:
-    SpanTimer(TraceLogger *logger, RecordKind kind)
-        : logger_(logger), start_(logger ? logger->now() : 0)
-    {
-        record_.kind = kind;
-        record_.start = start_;
-    }
-
-    /** Mutable record fields (batch_id, pid, op_name, ...). */
-    TraceRecord &record() { return record_; }
-
-    /** Log the span ending now. No-op without a logger. */
-    void
-    finish()
-    {
-        if (!logger_)
-            return;
-        record_.duration = logger_->now() - start_;
-        logger_->log(record_);
-    }
-
-  private:
-    TraceLogger *logger_;
-    TimeNs start_;
-    TraceRecord record_;
 };
 
 } // namespace lotus::trace

@@ -1,57 +1,55 @@
 #include "trace/record.h"
 
-#include <cstdlib>
+#include <charconv>
+#include <iterator>
 
 #include "common/logging.h"
 #include "common/strings.h"
 
 namespace lotus::trace {
 
-const char *
-recordKindName(RecordKind kind)
-{
-    switch (kind) {
-      case RecordKind::BatchPreprocessed: return "SBatchPreprocessed";
-      case RecordKind::BatchWait: return "SBatchWait";
-      case RecordKind::BatchConsumed: return "SBatchConsumed";
-      case RecordKind::TransformOp: return "STransformOp";
-      case RecordKind::GpuCompute: return "SGpuCompute";
-      case RecordKind::EpochBoundary: return "SEpoch";
-      case RecordKind::ErrorEvent: return "SError";
-      case RecordKind::TaskSpan: return "STask";
-      case RecordKind::StealEvent: return "SSteal";
-      case RecordKind::CacheEvent: return "SCache";
-      case RecordKind::IoEvent: return "SIo";
-    }
-    LOTUS_PANIC("bad record kind %d", static_cast<int>(kind));
-}
-
 namespace {
 
-RecordKind
+/** CSV kind names, indexed by RecordKind. */
+constexpr const char *kKindNames[] = {
+    "SBatchPreprocessed", "SBatchWait", "SBatchConsumed", "STransformOp",
+    "SGpuCompute",        "SEpoch",     "SError",         "STask",
+    "SSteal",             "SCache",     "SIo"};
+static_assert(std::size(kKindNames) ==
+                  static_cast<std::size_t>(RecordKind::IoEvent) + 1,
+              "one name per RecordKind");
+
+Result<RecordKind>
 kindFromName(const std::string &name)
 {
-    static const std::pair<const char *, RecordKind> kinds[] = {
-        {"SBatchPreprocessed", RecordKind::BatchPreprocessed},
-        {"SBatchWait", RecordKind::BatchWait},
-        {"SBatchConsumed", RecordKind::BatchConsumed},
-        {"STransformOp", RecordKind::TransformOp},
-        {"SGpuCompute", RecordKind::GpuCompute},
-        {"SEpoch", RecordKind::EpochBoundary},
-        {"SError", RecordKind::ErrorEvent},
-        {"STask", RecordKind::TaskSpan},
-        {"SSteal", RecordKind::StealEvent},
-        {"SCache", RecordKind::CacheEvent},
-        {"SIo", RecordKind::IoEvent},
-    };
-    for (const auto &[text, kind] : kinds) {
-        if (name == text)
-            return kind;
+    for (std::size_t k = 0; k < std::size(kKindNames); ++k) {
+        if (name == kKindNames[k])
+            return static_cast<RecordKind>(k);
     }
-    LOTUS_FATAL("unknown record kind '%s'", name.c_str());
+    return LOTUS_ERROR(ErrorCode::kInvalidArgument,
+                       "unknown record kind '%s'", name.c_str());
+}
+
+/** Parse all of @p field as a decimal integer into @p out. */
+template <typename T>
+bool
+parseField(const std::string &field, T &out)
+{
+    const char *end = field.data() + field.size();
+    const auto [ptr, ec] = std::from_chars(field.data(), end, out);
+    return ec == std::errc() && ptr == end;
 }
 
 } // namespace
+
+const char *
+recordKindName(RecordKind kind)
+{
+    const auto index = static_cast<std::size_t>(kind);
+    if (index >= std::size(kKindNames))
+        LOTUS_PANIC("bad record kind %d", static_cast<int>(kind));
+    return kKindNames[index];
+}
 
 std::string
 TraceRecord::toLine() const
@@ -65,23 +63,28 @@ TraceRecord::toLine() const
                      static_cast<long long>(sample_index));
 }
 
-TraceRecord
+Result<TraceRecord>
 TraceRecord::fromLine(const std::string &line)
 {
     const auto fields = strSplit(line, ',');
     if (fields.size() < 5)
-        LOTUS_FATAL("malformed trace line '%s'", line.c_str());
+        return LOTUS_ERROR(ErrorCode::kInvalidArgument,
+                           "malformed trace line '%s'", line.c_str());
+    Result<RecordKind> kind = kindFromName(fields[0]);
+    if (!kind.ok())
+        return kind.takeError();
     TraceRecord record;
-    record.kind = kindFromName(fields[0]);
-    record.batch_id = std::strtoll(fields[1].c_str(), nullptr, 10);
-    record.pid =
-        static_cast<std::uint32_t>(std::strtoul(fields[2].c_str(), nullptr, 10));
-    record.start = std::strtoll(fields[3].c_str(), nullptr, 10);
-    record.duration = std::strtoll(fields[4].c_str(), nullptr, 10);
+    record.kind = kind.value();
     if (fields.size() > 5)
         record.op_name = fields[5];
-    if (fields.size() > 6)
-        record.sample_index = std::strtoll(fields[6].c_str(), nullptr, 10);
+    if (!parseField(fields[1], record.batch_id) ||
+        !parseField(fields[2], record.pid) ||
+        !parseField(fields[3], record.start) ||
+        !parseField(fields[4], record.duration) ||
+        (fields.size() > 6 && !parseField(fields[6], record.sample_index)))
+        return LOTUS_ERROR(ErrorCode::kInvalidArgument,
+                           "non-numeric field in trace line '%s'",
+                           line.c_str());
     return record;
 }
 
@@ -96,13 +99,17 @@ recordsToText(const std::vector<TraceRecord> &records)
     return out;
 }
 
-std::vector<TraceRecord>
+Result<std::vector<TraceRecord>>
 recordsFromText(const std::string &text)
 {
     std::vector<TraceRecord> records;
     for (const auto &line : strSplit(text, '\n')) {
-        if (!line.empty())
-            records.push_back(TraceRecord::fromLine(line));
+        if (line.empty())
+            continue;
+        Result<TraceRecord> record = TraceRecord::fromLine(line);
+        if (!record.ok())
+            return record.takeError();
+        records.push_back(record.take());
     }
     return records;
 }

@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "common/clock.h"
+#include "common/result.h"
 
 namespace lotus::trace {
 
@@ -35,7 +36,8 @@ enum class RecordKind : std::uint8_t
     TaskSpan,          ///< one per-sample fetch task (work-stealing)
     StealEvent,        ///< task stolen from a peer (op "steal<-wN")
     CacheEvent,        ///< decoded-sample cache action (op "cache:<what>")
-    IoEvent,           ///< one traced store read (op "io:<bytes>")
+    IoEvent,           ///< one traced store read (op "io:<bytes>"); keep
+                       ///< last, record.cc sizes its name table by it
 };
 
 const char *recordKindName(RecordKind kind);
@@ -62,15 +64,17 @@ struct TraceRecord
     /** Serialize to one log line (stable, parseable). */
     std::string toLine() const;
 
-    /** Parse a line produced by toLine(). Fatal on malformed input. */
-    static TraceRecord fromLine(const std::string &line);
+    /** Parse a line produced by toLine(). A truncated line, an
+     *  unknown kind or a non-numeric numeric field is
+     *  kInvalidArgument: trace files are untrusted input. */
+    static Result<TraceRecord> fromLine(const std::string &line);
 };
 
 /** Render records to a log-file body. */
 std::string recordsToText(const std::vector<TraceRecord> &records);
 
-/** Parse a log-file body. */
-std::vector<TraceRecord> recordsFromText(const std::string &text);
+/** Parse a log-file body; the first bad line fails the whole body. */
+Result<std::vector<TraceRecord>> recordsFromText(const std::string &text);
 
 } // namespace lotus::trace
 

@@ -647,7 +647,7 @@ TEST(CacheEventRecord, RoundTripsAndFlowsThroughVisualizeAndAnalysis)
     record.sample_index = 9;
 
     const trace::TraceRecord back =
-        trace::TraceRecord::fromLine(record.toLine());
+        trace::TraceRecord::fromLine(record.toLine()).take();
     EXPECT_EQ(back.kind, trace::RecordKind::CacheEvent);
     EXPECT_EQ(back.op_name, "cache:hit");
     EXPECT_EQ(back.sample_index, 9);

@@ -20,6 +20,7 @@
 #include "hwcount/registry.h"
 #include "hwcount/sampling_driver.h"
 #include "hwcount/thread_counters.h"
+#include "trace/span.h"
 
 namespace lotus::hwcount {
 namespace {
@@ -129,7 +130,7 @@ TEST_F(RegistryTest, GroundTruthTracksOpTags)
     registry.setGroundTruthEnabled(true);
     const OpTag tag = registry.registerOp("LoaderTest");
     {
-        OpTagScope op(tag);
+        trace::Span op({.op = tag});
         KernelScope scope(KernelId::DecodeMcu);
         scope.stats().items = 3;
     }
@@ -155,7 +156,7 @@ TEST_F(RegistryTest, LiveOpsReflectCurrentScope)
     auto &registry = KernelRegistry::instance();
     const OpTag tag = registry.registerOp("LiveOp");
     {
-        OpTagScope op(tag);
+        trace::Span op({.op = tag});
         bool found = false;
         for (const auto &[tid, live] : registry.liveOps()) {
             (void)tid;

@@ -210,7 +210,7 @@ TEST_F(IntegrationTest, TraceLogFileRoundTripsThroughAnalysis)
     TempDir dir("lotus-int");
     const std::string path = dir.file("epoch.lotustrace");
     logger.writeTo(path);
-    const auto loaded = trace::TraceLogger::readFrom(path);
+    const auto loaded = trace::TraceLogger::readFrom(path).take();
     core::lotustrace::TraceAnalysis from_file(loaded);
     core::lotustrace::TraceAnalysis from_memory(logger.records());
     EXPECT_EQ(from_file.batches().size(), from_memory.batches().size());

@@ -16,6 +16,7 @@
 #include "image/codec/codec.h"
 #include "image/resample.h"
 #include "image/synth.h"
+#include "trace/span.h"
 
 namespace lotus::core::lotusmap {
 namespace {
@@ -256,7 +257,7 @@ TEST_F(LotusMapTest, EvaluateAgainstGroundTruth)
     VirtualClock clock(0);
     registry.setClock(&clock);
     {
-        hwcount::OpTagScope op(tag);
+        trace::Span op({.op = tag});
         {
             hwcount::KernelScope scope(KernelId::DecodeMcu);
             clock.advance(1000);
@@ -311,11 +312,11 @@ TEST_F(LotusMapTest, EndToEndMappingQualityOnRealKernels)
     IsolationRunner runner(fastConfig());
     LotusMapper mapper;
     mapper.addProfile(runner.profileOp("Loader", [&] {
-        hwcount::OpTagScope op(loader_tag);
+        trace::Span op({.op = loader_tag});
         image::codec::decode(blob);
     }));
     mapper.addProfile(runner.profileOp("Resize", [&] {
-        hwcount::OpTagScope op(resize_tag);
+        trace::Span op({.op = resize_tag});
         resize_work();
     }));
 
@@ -323,11 +324,11 @@ TEST_F(LotusMapTest, EndToEndMappingQualityOnRealKernels)
     registry.reset();
     registry.setGroundTruthEnabled(true);
     {
-        hwcount::OpTagScope op(loader_tag);
+        trace::Span op({.op = loader_tag});
         image::codec::decode(blob);
     }
     {
-        hwcount::OpTagScope op(resize_tag);
+        trace::Span op({.op = resize_tag});
         resize_work();
     }
     const auto snapshot = registry.snapshot();

@@ -11,6 +11,7 @@
 
 #include "hwcount/registry.h"
 #include "profilers/presets.h"
+#include "trace/span.h"
 
 namespace lotus::profilers {
 namespace {
@@ -34,17 +35,13 @@ runOp(const std::string &name, TimeNs duration,
       trace::TraceLogger *logger = nullptr)
 {
     auto &registry = hwcount::KernelRegistry::instance();
-    const auto tag = registry.registerOp(name);
-    trace::SpanTimer span(logger, trace::RecordKind::TransformOp);
-    span.record().op_name = name;
-    {
-        hwcount::OpTagScope op(tag);
-        const auto &clock = SteadyClock::instance();
-        const TimeNs deadline = clock.now() + duration;
-        while (clock.now() < deadline) {
-        }
+    trace::Span span({.logger = logger,
+                      .op_name = name,
+                      .op = registry.registerOp(name)});
+    const auto &clock = SteadyClock::instance();
+    const TimeNs deadline = clock.now() + duration;
+    while (clock.now() < deadline) {
     }
-    span.finish();
 }
 
 TEST_F(ProfilerTest, CapabilitiesMatchTableFour)

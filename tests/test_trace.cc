@@ -6,13 +6,20 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
 #include <thread>
 
 #include "common/files.h"
+#include "dataflow/data_loader.h"
+#include "pipeline/image_folder.h"
+#include "pipeline/traced_store.h"
 #include "trace/chrome_trace.h"
 #include "trace/logger.h"
 #include "trace/record.h"
+#include "trace/span.h"
+#include "workloads/pipelines.h"
+#include "workloads/synthetic.h"
 
 namespace lotus::trace {
 namespace {
@@ -27,7 +34,7 @@ TEST(Record, LineRoundTrip)
     record.duration = 1000;
     record.op_name = "RandomResizedCrop";
     record.sample_index = 99;
-    const TraceRecord back = TraceRecord::fromLine(record.toLine());
+    const TraceRecord back = TraceRecord::fromLine(record.toLine()).take();
     EXPECT_EQ(back.kind, record.kind);
     EXPECT_EQ(back.batch_id, record.batch_id);
     EXPECT_EQ(back.pid, record.pid);
@@ -49,7 +56,7 @@ TEST(Record, TextRoundTripMany)
         record.duration = i;
         records.push_back(record);
     }
-    const auto back = recordsFromText(recordsToText(records));
+    const auto back = recordsFromText(recordsToText(records)).take();
     ASSERT_EQ(back.size(), records.size());
     for (std::size_t i = 0; i < records.size(); ++i) {
         EXPECT_EQ(back[i].kind, records[i].kind);
@@ -77,7 +84,7 @@ TEST(Record, IoEventLineRoundTrip)
     record.duration = 4200;
     record.op_name = "io:2048";
     record.sample_index = 17;
-    const TraceRecord back = TraceRecord::fromLine(record.toLine());
+    const TraceRecord back = TraceRecord::fromLine(record.toLine()).take();
     EXPECT_EQ(back.kind, RecordKind::IoEvent);
     EXPECT_EQ(back.batch_id, record.batch_id);
     EXPECT_EQ(back.pid, record.pid);
@@ -87,9 +94,55 @@ TEST(Record, IoEventLineRoundTrip)
     EXPECT_EQ(back.sample_index, record.sample_index);
 }
 
-TEST(Record, MalformedLineFatal)
+TEST(Record, MalformedLineIsAnError)
 {
-    EXPECT_DEATH(TraceRecord::fromLine("bogus"), "");
+    const Result<TraceRecord> parsed = TraceRecord::fromLine("bogus");
+    ASSERT_FALSE(parsed.ok());
+    EXPECT_EQ(parsed.error().code, ErrorCode::kInvalidArgument);
+}
+
+TEST(Record, TruncatedLineIsAnError)
+{
+    const Result<TraceRecord> parsed =
+        TraceRecord::fromLine("STransformOp,3,7,100");
+    ASSERT_FALSE(parsed.ok());
+    EXPECT_EQ(parsed.error().code, ErrorCode::kInvalidArgument);
+}
+
+TEST(Record, UnknownKindIsAnError)
+{
+    const Result<TraceRecord> parsed =
+        TraceRecord::fromLine("SBogus,3,7,100,20,Op,1");
+    ASSERT_FALSE(parsed.ok());
+    EXPECT_EQ(parsed.error().code, ErrorCode::kInvalidArgument);
+    EXPECT_NE(parsed.error().message.find("SBogus"), std::string::npos);
+}
+
+TEST(Record, NonNumericFieldIsAnError)
+{
+    for (const char *line :
+         {"STransformOp,x3,7,100,20,Op,1", "STransformOp,3,-7,100,20,Op,1",
+          "STransformOp,3,7,1e2,20,Op,1", "STransformOp,3,7,100,,Op,1",
+          "STransformOp,3,7,100,20,Op,1z",
+          "STransformOp,3,7,100,99999999999999999999,Op,1"}) {
+        const Result<TraceRecord> parsed = TraceRecord::fromLine(line);
+        ASSERT_FALSE(parsed.ok()) << line;
+        EXPECT_EQ(parsed.error().code, ErrorCode::kInvalidArgument) << line;
+    }
+}
+
+TEST(Record, BadLineFailsTheWholeText)
+{
+    const std::string text = TraceRecord{}.toLine() + "\nSBogus,1,1,1,1\n";
+    const auto parsed = recordsFromText(text);
+    ASSERT_FALSE(parsed.ok());
+    EXPECT_EQ(parsed.error().code, ErrorCode::kInvalidArgument);
+    EXPECT_NE(parsed.error().message.find("SBogus"), std::string::npos);
+}
+
+TEST(Record, MissingFileIsAnError)
+{
+    EXPECT_FALSE(TraceLogger::readFrom("/nonexistent/x.lotustrace").ok());
 }
 
 TEST(Logger, CollectsAndSorts)
@@ -142,7 +195,7 @@ TEST(Logger, FileRoundTrip)
     const auto bytes = logger.writeTo(path);
     EXPECT_GT(bytes, 0u);
     EXPECT_EQ(fileSize(path), bytes);
-    const auto back = TraceLogger::readFrom(path);
+    const auto back = TraceLogger::readFrom(path).take();
     ASSERT_EQ(back.size(), 1u);
     EXPECT_EQ(back[0].batch_id, 3);
 }
@@ -189,14 +242,16 @@ TEST(Logger, DiscardModeKeepsNothingButObserves)
     EXPECT_EQ(logger.recordCount(), 0u);
 }
 
-TEST(Logger, SpanTimerMeasuresDuration)
+TEST(Span, MeasuresDurationOnLoggerClock)
 {
     VirtualClock clock(1000);
     TraceLogger logger(&clock);
-    SpanTimer span(&logger, RecordKind::BatchWait);
-    span.record().batch_id = 5;
-    clock.advance(250);
-    span.finish();
+    {
+        Span span({.logger = &logger,
+                   .kind = RecordKind::BatchWait,
+                   .batch_id = 5});
+        clock.advance(250);
+    }
     const auto records = logger.records();
     ASSERT_EQ(records.size(), 1u);
     EXPECT_EQ(records[0].start, 1000);
@@ -204,10 +259,249 @@ TEST(Logger, SpanTimerMeasuresDuration)
     EXPECT_EQ(records[0].batch_id, 5);
 }
 
-TEST(Logger, SpanTimerWithoutLoggerIsNoop)
+TEST(Span, WithoutSinksIsNoop)
 {
-    SpanTimer span(nullptr, RecordKind::BatchWait);
-    span.finish(); // must not crash
+    Span span({.kind = RecordKind::BatchWait});
+    EXPECT_EQ(span.start(), 0);
+    EXPECT_EQ(span.finish(), 0); // reads no clock, must not crash
+}
+
+TEST(Span, OneDurationFeedsTraceAndHistogram)
+{
+    metrics::ScopedEnable enable;
+    metrics::MetricsRegistry registry;
+    metrics::Histogram *hist = registry.histogram("span_test_ns");
+    VirtualClock clock(40);
+    TraceLogger logger(&clock);
+    Span span({.logger = &logger,
+               .op_name = "Op",
+               .histogram = hist});
+    clock.advance(7);
+    EXPECT_EQ(span.finish(), 7);
+    EXPECT_EQ(span.finish(), 0); // already ended: no second sample
+    const auto records = logger.records();
+    ASSERT_EQ(records.size(), 1u);
+    EXPECT_EQ(records[0].start, 40);
+    EXPECT_EQ(records[0].duration, 7);
+    EXPECT_EQ(records[0].op_name, "Op");
+    EXPECT_EQ(hist->count(), 1u);
+    EXPECT_EQ(hist->sum(), 7u);
+}
+
+TEST(Span, DisabledMetricsLeaveTheHistogramAlone)
+{
+    metrics::ScopedEnable disable(false);
+    metrics::MetricsRegistry registry;
+    metrics::Histogram *hist = registry.histogram("span_test_ns");
+    Span span({.histogram = hist});
+    EXPECT_EQ(span.start(), 0);
+    span.finish();
+    EXPECT_EQ(hist->count(), 0u);
+}
+
+TEST(Span, DiscardAndSentinelSkipTheHistogram)
+{
+    metrics::ScopedEnable enable;
+    metrics::MetricsRegistry registry;
+    metrics::Histogram *hist = registry.histogram("span_test_ns");
+    VirtualClock clock(0);
+    TraceLogger logger(&clock);
+    {
+        Span discarded({.logger = &logger, .histogram = hist});
+        clock.advance(3);
+        discarded.discard();
+    }
+    {
+        Span sentinel({.logger = &logger,
+                       .kind = RecordKind::BatchWait,
+                       .histogram = hist});
+        clock.advance(3);
+        sentinel.finishWith(kOutOfOrderSentinel);
+    }
+    const auto records = logger.records();
+    ASSERT_EQ(records.size(), 1u);
+    EXPECT_EQ(records[0].start, 3);
+    EXPECT_EQ(records[0].duration, kOutOfOrderSentinel);
+    EXPECT_EQ(hist->count(), 0u);
+}
+
+TEST(Span, HoldsItsOpTagUntilItEnds)
+{
+    const hwcount::OpTag tag =
+        hwcount::KernelRegistry::instance().registerOp("SpanTagTest");
+    const hwcount::OpTag outer = hwcount::currentOpTag();
+    {
+        Span span({.op = tag});
+        EXPECT_EQ(hwcount::currentOpTag(), tag);
+        span.finish();
+        EXPECT_EQ(hwcount::currentOpTag(), outer);
+    }
+    EXPECT_EQ(hwcount::currentOpTag(), outer);
+}
+
+TEST(Span, TimedSpanMeasuresWithoutSinks)
+{
+    Span span({.timed = true});
+    EXPECT_GT(span.start(), 0);
+    EXPECT_GE(span.stop(), 0);
+    EXPECT_EQ(span.finish(), 0); // stop() ended it
+}
+
+/**
+ * One epoch under a logger with metrics on, in every engine: each
+ * trace span and its histogram sample come from the same clock reads,
+ * so the trace and the histograms sum to the same nanoseconds.
+ */
+void
+expectTraceAndHistogramsAgree(int num_workers, dataflow::Schedule schedule)
+{
+    metrics::ScopedEnable enable;
+    auto &registry = metrics::MetricsRegistry::instance();
+    registry.reset();
+    workloads::ImageNetConfig config;
+    config.num_images = 24;
+    config.median_width = 48.0;
+    const auto work = workloads::makeImageClassification(
+        workloads::buildImageNetStore(config), /*crop_size=*/32);
+    TraceLogger logger;
+    dataflow::DataLoaderOptions options;
+    options.batch_size = 4;
+    options.num_workers = num_workers;
+    options.schedule = schedule;
+    options.logger = &logger;
+    dataflow::DataLoader loader(work.dataset, work.collate, options);
+    int batches = 0;
+    while (loader.next().has_value())
+        ++batches;
+    ASSERT_EQ(batches, 6);
+
+    struct Total
+    {
+        std::uint64_t count = 0;
+        std::uint64_t sum = 0;
+    };
+    std::map<std::string, Total> ops;
+    Total preprocessed, tasks, waits;
+    for (const auto &record : logger.records()) {
+        Total *total = nullptr;
+        if (record.kind == RecordKind::TransformOp &&
+            record.op_name !=
+                pipeline::ImageFolderDataset::kLoaderOpName)
+            total = &ops[record.op_name];
+        else if (record.kind == RecordKind::BatchPreprocessed)
+            total = &preprocessed;
+        else if (record.kind == RecordKind::TaskSpan)
+            total = &tasks;
+        else if (record.kind == RecordKind::BatchWait &&
+                 record.duration != kOutOfOrderSentinel)
+            total = &waits;
+        if (total != nullptr) {
+            ASSERT_GE(record.duration, 0);
+            ++total->count;
+            total->sum += static_cast<std::uint64_t>(record.duration);
+        }
+    }
+    const auto expectSame = [](const Total &trace, const metrics::Histogram &hist,
+                               const std::string &what) {
+        EXPECT_EQ(trace.count, hist.count()) << what;
+        EXPECT_EQ(trace.sum, hist.sum()) << what;
+    };
+    // Every op but the Loader has a lotus_pipeline_op_ns histogram.
+    ASSERT_EQ(ops.size(), 5u);
+    for (const auto &[name, total] : ops)
+        expectSame(total,
+                   *registry.histogram(
+                       metrics::labeled("lotus_pipeline_op_ns", "op", name)),
+                   name);
+    expectSame(waits, *registry.histogram("lotus_loader_wait_ns"), "wait");
+    EXPECT_EQ(waits.sum,
+              registry.counter("lotus_loader_wait_ns_total")->value());
+    const auto fetchTotal = [&](const std::vector<std::string> &workers) {
+        Total total;
+        for (const auto &worker : workers) {
+            const metrics::Histogram *hist = registry.histogram(
+                metrics::labeled("lotus_loader_fetch_ns", "worker", worker));
+            total.count += hist->count();
+            total.sum += hist->sum();
+        }
+        return total;
+    };
+    const std::vector<std::string> workers =
+        num_workers == 0 ? std::vector<std::string>{"main"}
+                         : std::vector<std::string>{"0", "1"};
+    const Total fetch = fetchTotal(workers);
+    if (schedule == dataflow::Schedule::kWorkStealing && num_workers > 0) {
+        expectSame(preprocessed,
+                   *registry.histogram("lotus_loader_batch_span_ns"),
+                   "batch span");
+        EXPECT_EQ(tasks.count, fetch.count);
+        EXPECT_EQ(tasks.sum, fetch.sum);
+        EXPECT_EQ(tasks.count, 24u);
+    } else {
+        EXPECT_EQ(preprocessed.count, fetch.count);
+        EXPECT_EQ(preprocessed.sum, fetch.sum);
+        EXPECT_EQ(tasks.count, 0u);
+    }
+    EXPECT_EQ(preprocessed.count, 6u);
+}
+
+TEST(Span, TraceSpansSumToTheirHistogramsSynchronous)
+{
+    expectTraceAndHistogramsAgree(0, dataflow::Schedule::kRoundRobin);
+}
+
+TEST(Span, TraceSpansSumToTheirHistogramsRoundRobin)
+{
+    expectTraceAndHistogramsAgree(2, dataflow::Schedule::kRoundRobin);
+}
+
+TEST(Span, TraceSpansSumToTheirHistogramsWorkStealing)
+{
+    expectTraceAndHistogramsAgree(2, dataflow::Schedule::kWorkStealing);
+}
+
+TEST(Timeline, EveryRecordLiesOnTheLoggerClock)
+{
+    // Small photos plus one corrupt blob behind a TracedStore, through
+    // a memory cache for two epochs under kSkip: the run logs spans
+    // (ops, [T1], [T2]) and instants (IoEvent, CacheEvent, ErrorEvent,
+    // epoch markers). The virtual clock never advances, so any record
+    // stamped from another clock stands out.
+    workloads::ImageNetConfig config;
+    config.num_images = 11;
+    config.median_width = 48.0;
+    auto blobs = workloads::buildImageNetStore(config);
+    blobs->add("not an LJPG image");
+    const auto work = workloads::makeImageClassification(
+        std::make_shared<pipeline::TracedStore>(blobs), /*crop_size=*/32);
+    constexpr TimeNs kStart = 5 * kSecond;
+    VirtualClock clock(kStart);
+    TraceLogger logger(&clock);
+    dataflow::DataLoaderOptions options;
+    options.batch_size = 4;
+    options.num_workers = 2;
+    options.error_policy = dataflow::ErrorPolicy::kSkip;
+    options.cache_policy = dataflow::CachePolicy::kMemory;
+    options.cache_budget_bytes = 64 << 20;
+    options.logger = &logger;
+    dataflow::DataLoader loader(work.dataset, work.collate, options);
+    for (int epoch = 0; epoch < 2; ++epoch) {
+        loader.startEpoch();
+        while (loader.next().has_value()) {
+        }
+    }
+
+    std::set<RecordKind> kinds;
+    for (const auto &record : logger.records()) {
+        kinds.insert(record.kind);
+        EXPECT_EQ(record.start, kStart)
+            << recordKindName(record.kind) << " " << record.op_name;
+    }
+    for (const RecordKind kind :
+         {RecordKind::IoEvent, RecordKind::CacheEvent,
+          RecordKind::ErrorEvent, RecordKind::TransformOp,
+          RecordKind::BatchPreprocessed, RecordKind::BatchWait})
+        EXPECT_TRUE(kinds.count(kind)) << recordKindName(kind);
 }
 
 TEST(ChromeTrace, JsonEscaping)

@@ -229,7 +229,7 @@ TEST(WorkStealing, StealTelemetryCountsTasksAndSteals)
             ++steal_events;
             EXPECT_EQ(record.op_name.rfind("steal<-w", 0), 0u);
             const trace::TraceRecord back =
-                trace::TraceRecord::fromLine(record.toLine());
+                trace::TraceRecord::fromLine(record.toLine()).take();
             EXPECT_EQ(back.kind, trace::RecordKind::StealEvent);
             EXPECT_EQ(back.op_name, record.op_name);
         }

@@ -31,7 +31,13 @@ main(int argc, char **argv)
     const bool want_table2 =
         argc > 2 && std::strcmp(argv[2], "--table2") == 0;
 
-    const auto records = trace::TraceLogger::readFrom(path);
+    auto loaded = trace::TraceLogger::readFrom(path);
+    if (!loaded.ok()) {
+        std::fprintf(stderr, "%s: %s\n", path.c_str(),
+                     loaded.error().describe().c_str());
+        return 1;
+    }
+    const auto records = loaded.take();
     std::printf("%zu records from %s\n\n", records.size(), path.c_str());
 
     const auto report = core::lotustrace::buildReport(records);

@@ -48,7 +48,13 @@ main(int argc, char **argv)
         }
     }
 
-    const auto records = trace::TraceLogger::readFrom(in_path);
+    auto loaded = trace::TraceLogger::readFrom(in_path);
+    if (!loaded.ok()) {
+        std::fprintf(stderr, "%s: %s\n", in_path.c_str(),
+                     loaded.error().describe().c_str());
+        return 1;
+    }
+    const auto records = loaded.take();
     trace::ChromeTraceBuilder builder;
     if (!augment_path.empty()) {
         const auto existing =

@@ -46,11 +46,16 @@ run_tier() {
 # the half-budget-cache read-ahead case drives the engine-to-cache
 # residency check (I/O threads taking cache shard locks) against
 # cache hits releasing window slots, a lock path TSan and ASan must
-# both cover. A case ran when the tier's ctest log shows its binary
+# both cover; the trace-sum cases check that every span hands one
+# duration to its trace record and its histogram, with fleet and
+# round-robin workers logging concurrently. A case ran when the tier's ctest log shows its binary
 # passing and the tier's binary lists the case.
 REQUIRED_CASES=(
     'test_service TenantChurnStressKeepsVictimOrderInBounds'
     'test_read_ahead HalfBudgetCacheKeepsWindowFlowing'
+    'test_trace TraceSpansSumToTheirHistogramsSynchronous'
+    'test_trace TraceSpansSumToTheirHistogramsRoundRobin'
+    'test_trace TraceSpansSumToTheirHistogramsWorkStealing'
 )
 required_cases_ran() {
     local log="$1" dir="$2" entry binary name
